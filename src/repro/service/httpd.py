@@ -61,6 +61,10 @@ class ServiceHTTPServer(ThreadingHTTPServer):
 class ServiceRequestHandler(BaseHTTPRequestHandler):
     server_version = "gpu-topdown-service/1"
     protocol_version = "HTTP/1.1"
+    # headers and body go out in two writes; with Nagle on, the body
+    # waits for the client's delayed ACK (~40 ms per request on a
+    # kept-alive connection).  TCP_NODELAY sends it at once.
+    disable_nagle_algorithm = True
 
     # -- plumbing ---------------------------------------------------------
     def log_message(self, format, *args):  # noqa: A002 — stdlib signature

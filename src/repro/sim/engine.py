@@ -5,10 +5,12 @@ The simulator is deterministic: a kernel execution is a pure function
 of ``(program, launch, spec, config)``.  That makes the two classic
 profiling-pipeline optimizations safe to apply aggressively:
 
-* **never recompute** — results are memoized in memory and (optionally)
-  persisted on disk under their content fingerprint, so replay passes,
-  repeated CLI runs and whole experiment regenerations skip simulation
-  entirely (:mod:`repro.sim.result_cache`);
+* **never recompute** — every engine installed by :func:`engine_context`
+  memoizes results in memory under their content fingerprint for the
+  whole run, so replay passes and experiments that launch the same
+  content simulate it once; with ``--cache-dir`` results also persist
+  on disk, so repeated CLI runs and whole experiment regenerations skip
+  simulation entirely (:mod:`repro.sim.result_cache`);
 * **fan out** — independent simulation units (distinct kernel launches
   of an application, experiment cells, the per-SM runs of one launch)
   execute on a process pool, with results merged back in submission
@@ -25,10 +27,12 @@ can complete in degraded mode instead of aborting.  Named fault sites
 (``engine.transient``, ``engine.worker``, ``sim.hang``) let tests
 exercise all of this reproducibly.
 
-One :class:`ExecutionEngine` is active at a time.  The default engine
-is a serial pass-through (no pool, no persistence) that preserves the
-library's historical behaviour; CLI entry points install a configured
-engine via :func:`engine_context` (``--jobs/--cache-dir/--no-cache``).
+One :class:`ExecutionEngine` is active at a time.  The implicit
+default engine (outside any :func:`engine_context`) is a serial
+pass-through: no pool, no persistence and no memo, since it lives as
+long as the process.  CLI entry points install a run-scoped engine via
+:func:`engine_context` (``--jobs/--cache-dir/--no-cache``), whose memo
+is on at every ``--jobs``, with or without a cache.
 
 Parallel-safety note (``share_l2``): when
 :attr:`~repro.sim.config.SimConfig.share_l2` is set, the simulated SMs
@@ -216,12 +220,10 @@ class ExecutionEngine:
         self.retry = retry if retry is not None else RetryPolicy()
         self.stats = EngineStats()
         self.health = RunHealth()
-        # content-addressed in-process memo.  Enabled only for
-        # configured engines: the pass-through default must not grow
-        # process-lifetime state behind the caller's back.
-        self._memo: "dict[str, KernelSimResult] | None" = (
-            {} if (jobs > 1 or cache is not None) else None
-        )
+        # content-addressed in-process memo, scoped to this engine's
+        # lifetime (one run).  Only the implicit default engine turns
+        # it off: see current_engine().
+        self._memo: "dict[str, KernelSimResult] | None" = {}
         # cells that exhausted their retry budget: key -> (label, reason).
         # Hitting one again raises immediately instead of re-retrying.
         self._quarantined: dict[str, tuple[str, str]] = {}
@@ -734,9 +736,9 @@ class ExecutionEngine:
             return
         s = self.stats
         obs.metrics.inc("engine.sim_cells", s.sim_calls)
-        # memo hits depend on pool shape (the parallel prewarm resolves
-        # duplicate invocations through the engine memo; the serial path
-        # reuses them a layer up), so they are a gauge, not a counter.
+        # memo hits depend on pool shape (under -j a parallel prewarm
+        # batch simulates first and the serial pass after it hits the
+        # memo for every launch), so they are a gauge, not a counter.
         obs.metrics.set_gauge("engine.memo_hits", s.memo_hits)
         obs.metrics.set_gauge("engine.jobs", self.jobs)
         obs.metrics.set_gauge("engine.parallel_batches", s.batch_count)
@@ -795,6 +797,9 @@ def current_engine() -> ExecutionEngine:
     global _DEFAULT_ENGINE
     if _DEFAULT_ENGINE is None:
         _DEFAULT_ENGINE = ExecutionEngine()
+        # the default lives as long as the process: it must not grow
+        # state behind the caller's back, so it keeps no memo.
+        _DEFAULT_ENGINE._memo = None
     return _DEFAULT_ENGINE
 
 

@@ -18,6 +18,12 @@ order, with the class name mixed in), lowers enums to ``ClassName.NAME``
 and renders the result as compact sorted-key JSON.  Every type the
 simulator's input dataclasses use is covered; anything else is a hard
 error rather than a silently unstable ``repr``.
+
+Callers on the hot path use :func:`content_key`, which encodes each
+frozen input *object* once: a long-lived program, spec or config is
+canonicalized on first sight and its encoding reused by every later
+key that includes it.  The bytes hashed are exactly those of
+:func:`content_digest`, so the keys are identical.
 """
 
 from __future__ import annotations
@@ -30,6 +36,15 @@ from typing import Any
 
 #: bump when the encoding (not the simulator) changes incompatibly.
 FINGERPRINT_SCHEMA = "repro/sim-fingerprint@1"
+
+#: bound of the identity memo behind :func:`content_key`; it is
+#: dropped wholesale when full.
+KEY_MEMO_MAX = 4096
+
+#: ``id(obj) -> (obj, encoding)`` for frozen dataclass inputs.  Values
+#: hold strong references, so an id cannot be reused by a different
+#: object while its entry lives.
+_ENCODINGS: dict[int, tuple[Any, str]] = {}
 
 
 def canonicalize(obj: Any) -> Any:
@@ -69,14 +84,50 @@ def content_digest(*parts: Any) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _encode(obj: Any) -> str:
+    return json.dumps(canonicalize(obj), separators=(",", ":"),
+                      sort_keys=True)
+
+
+_SCHEMA_JSON = _encode(FINGERPRINT_SCHEMA)
+
+
+def _encoding(obj: Any) -> str:
+    """Encoding of one part, memoized by identity for frozen inputs
+    (whose content cannot change after the first encoding)."""
+    params = getattr(type(obj), "__dataclass_params__", None)
+    if params is None or not params.frozen:
+        return _encode(obj)
+    hit = _ENCODINGS.get(id(obj))
+    if hit is not None:
+        return hit[1]
+    text = _encode(obj)
+    if len(_ENCODINGS) >= KEY_MEMO_MAX:
+        _ENCODINGS.clear()
+    _ENCODINGS[id(obj)] = (obj, text)
+    return text
+
+
+def content_key(*parts: Any) -> str:
+    """:func:`content_digest` of ``parts``, encoding each frozen part
+    once per object (JSON nests, so the joined encodings are the very
+    bytes :func:`content_digest` hashes)."""
+    payload = "[%s,[%s]]" % (
+        _SCHEMA_JSON, ",".join(_encoding(p) for p in parts)
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 def sim_fingerprint(program, launch, spec, config) -> str:
     """Content key of one kernel simulation (the unit the caches store)."""
-    return content_digest(program, launch, spec, config)
+    return content_key(program, launch, spec, config)
 
 
 __all__ = [
     "FINGERPRINT_SCHEMA",
+    "KEY_MEMO_MAX",
     "canonicalize",
     "content_digest",
+    "content_key",
     "sim_fingerprint",
 ]

@@ -21,9 +21,13 @@ from repro.sim import (
     SimConfig,
     SimResultCache,
     engine_context,
+    fingerprint,
     sim_fingerprint,
 )
+from repro.sim.engine import current_engine
+from repro.sim.fingerprint import content_digest, content_key
 from repro.sim.result_cache import RESULT_SCHEMA
+from repro.sim.specialize import SPECIALIZE_SCHEMA, specialization_key
 
 from tests.conftest import build_stream_kernel
 
@@ -73,6 +77,62 @@ class TestFingerprint:
         assert sim_fingerprint(
             prog, LAUNCH, turing, SimConfig(seed=1)
         ) != base
+
+    def test_key_is_pinned(self, turing):
+        """Persistent caches stay valid only while keys do: a change here
+        needs a FINGERPRINT_SCHEMA bump."""
+        assert sim_fingerprint(_kernel(), LAUNCH, turing, DEFAULT_CONFIG) \
+            == "9d3c935a0a00f433df40918e40a77091d9bff9668cbaa16bfd20e42cd68fabd2"
+
+
+class TestIdentityMemo:
+    def test_equal_content_distinct_objects_get_the_digest(self, turing):
+        config = SimConfig(seed=3)
+        for prog in (_kernel(), _kernel()):  # content-equal, distinct
+            parts = (prog, LAUNCH, turing, config)
+            assert content_key(*parts) == content_digest(*parts)
+            assert sim_fingerprint(*parts) == content_digest(*parts)
+
+    def test_same_objects_are_encoded_once(self, turing, monkeypatch):
+        prog, config = _kernel(), SimConfig(seed=4)
+        first = sim_fingerprint(prog, LAUNCH, turing, config)
+
+        def boom(_obj):
+            raise AssertionError("memoized input re-canonicalized")
+
+        monkeypatch.setattr(fingerprint, "canonicalize", boom)
+        assert sim_fingerprint(prog, LAUNCH, turing, config) == first
+
+    def test_specialization_key_is_the_digest(self, turing):
+        prog = _kernel()
+        config = SimConfig(scheduler="gto", dispatch_stall_rate=0.0)
+        assert specialization_key(prog, turing, config) == content_digest(
+            SPECIALIZE_SCHEMA, prog, turing, "gto",
+            config.bank_conflict_rate > 0.0, False,
+        )
+
+    def test_memo_is_bounded(self, turing, monkeypatch):
+        monkeypatch.setattr(fingerprint, "KEY_MEMO_MAX", 3)
+        for seed in range(10):
+            sim_fingerprint(_kernel(), LAUNCH, turing, SimConfig(seed=seed))
+            assert len(fingerprint._ENCODINGS) <= 3
+
+
+# ---------------------------------------------------------------------------
+# engine memo scope
+# ---------------------------------------------------------------------------
+
+class TestEngineMemoScope:
+    def test_default_engine_keeps_no_memo(self, turing):
+        """Outside any engine_context the process-lifetime default engine
+        simulates every launch its caller's simulators miss."""
+        stats = current_engine().stats
+        before = (stats.sim_calls, stats.memo_hits)
+        for _ in range(2):
+            GPUSimulator(turing).launch(_kernel(), LAUNCH)
+        assert (stats.sim_calls, stats.memo_hits) == (
+            before[0] + 2, before[1]
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import pytest
 from repro.cli import main
 from repro.isa import LaunchConfig
 from repro.obs import active_obs, load_trace, obs_context
-from repro.sim import SimConfig, engine_context
+from repro.sim import GPUSimulator, SimConfig, engine_context
 
 from tests.conftest import build_compute_kernel, build_stream_kernel
 
@@ -157,6 +157,27 @@ class TestMetricsDeterminism:
         # pool shape is visible — but only in the gauges section.
         assert serial["gauges"]["engine.jobs"] == 1
         assert parallel["gauges"]["engine.jobs"] == 4
+
+    def test_distinct_keys_simulate_once_at_every_jobs(
+        self, turing, tmp_path
+    ):
+        """Two experiments launching the same content through their own
+        simulators: each distinct key is simulated once, at -j1 as at
+        -j2, so the counters match across --jobs."""
+        runs = []
+        for jobs in (1, 2):
+            out = tmp_path / f"metrics-sims-j{jobs}.json"
+            with obs_context(metrics_out=out), engine_context(jobs=jobs):
+                for _experiment in range(2):
+                    sim = GPUSimulator(turing, SimConfig(seed=0))
+                    sim.launch(build_stream_kernel(), LAUNCH)
+                    sim.launch(build_compute_kernel(), LAUNCH)
+            runs.append(json.loads(out.read_text())["counters"])
+        for counters in runs:
+            assert counters["engine.sim_cells"] == 2
+            assert counters["sim.cells_executed"] == 2
+        assert runs[0]["sim.processed_cycles"] > 0
+        assert runs[0] == runs[1]
 
     def test_repeat_run_bit_identical(self, turing, tmp_path):
         one = self._run(turing, tmp_path, 2, "a")

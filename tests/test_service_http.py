@@ -4,8 +4,11 @@ headers — every documented API response, against a real socket.
 
 from __future__ import annotations
 
+import http.client
 import json
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 from contextlib import contextmanager
@@ -224,3 +227,23 @@ class TestIntrospection:
                 assert payload["counters"]["service.submitted"] == 1
                 assert payload["counters"]["service.jobs_done"] == 1
             manager.drain(timeout_s=10)
+
+    def test_kept_alive_round_trips_are_not_delayed(self, tmp_path):
+        """Headers and body go out in two writes: without TCP_NODELAY the
+        body waits for the client's delayed ACK (~40 ms a request)."""
+        manager = _manager(tmp_path)
+        with _serve(manager) as base:
+            host, port = base.removeprefix("http://").split(":")
+            conn = http.client.HTTPConnection(host, int(port), timeout=10)
+            try:
+                seconds = []
+                for _ in range(20):
+                    t0 = time.perf_counter()
+                    conn.request("GET", "/healthz")
+                    response = conn.getresponse()
+                    assert response.status == 200
+                    response.read()
+                    seconds.append(time.perf_counter() - t0)
+            finally:
+                conn.close()
+        assert statistics.median(seconds) < 0.010, seconds
