@@ -731,13 +731,6 @@ def _engine_parent() -> argparse.ArgumentParser:
                             "reuse them across runs")
     group.add_argument("--no-cache", action="store_true",
                        help="ignore --cache-dir for this run")
-    from repro.sim.backend import BACKENDS, DEFAULT_BACKEND
-
-    group.add_argument("--backend", default=None, choices=list(BACKENDS),
-                       help="SM cycle-loop implementation (default: "
-                            f"{DEFAULT_BACKEND}; all backends produce "
-                            "bit-identical counters, see "
-                            "docs/SIMULATOR.md)")
     group.add_argument("--timings", action="store_true",
                        help="print the engine wall-time/cache/health "
                             "summary to stderr")
@@ -1064,8 +1057,7 @@ def main(argv: list[str] | None = None) -> int:
                               no_cache=args.no_cache,
                               faults=args.inject_faults,
                               retries=args.retries,
-                              deadline_s=args.deadline,
-                              backend=args.backend) as engine:
+                              deadline_s=args.deadline) as engine:
                 rc = args.func(args)
                 if (args.timings or engine.parallel
                         or engine.cache is not None

@@ -84,7 +84,6 @@ def run_serve(args) -> int:
         faults=args.inject_faults,
         retries=args.retries,
         deadline_s=args.deadline,
-        backend=args.backend,
         cache=None if args.no_cache else manager.store,
     ):
         server = ServiceHTTPServer((args.host, args.port), manager)

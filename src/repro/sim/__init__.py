@@ -6,14 +6,6 @@ pipeline and produces the raw hardware events the PMU layer exposes.
 """
 
 from repro.sim.address_gen import SECTOR_BYTES, AddressGenerator
-from repro.sim.backend import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    backend_context,
-    current_backend,
-    make_sm_simulator,
-    set_backend,
-)
 from repro.sim.caches import MemoryHierarchy, SectorCache
 from repro.sim.config import DEFAULT_CONFIG, SimConfig
 from repro.sim.counters import EventCounters
@@ -27,7 +19,7 @@ from repro.sim.fingerprint import sim_fingerprint
 from repro.sim.functional_units import DrainQueue, PipeSet
 from repro.sim.gpu import GPUSimulator, KernelSimResult, simulate_kernel
 from repro.sim.result_cache import SimResultCache
-from repro.sim.sm import SMSimulator
+from repro.sim.sm import SMSimulator, make_sm_simulator
 from repro.sim.stall_reasons import ALL_STATES, STALL_STATES, WarpState
 from repro.sim.trace import IssueEvent, Tracer, trace_kernel
 from repro.sim.warp import Warp
@@ -35,12 +27,7 @@ from repro.sim.warp import Warp
 __all__ = [
     "ALL_STATES",
     "AddressGenerator",
-    "BACKENDS",
-    "DEFAULT_BACKEND",
-    "backend_context",
-    "current_backend",
     "make_sm_simulator",
-    "set_backend",
     "DEFAULT_CONFIG",
     "DrainQueue",
     "EventCounters",

@@ -164,8 +164,8 @@ class AddressGenerator:
         Each element is exactly what the per-access path would see:
         the ``(first_sector, n_sectors)`` tuple :meth:`span` returns
         when the access is one consecutive run, else the
-        :meth:`sectors` list.  Used by the specialized simulator
-        backend (:mod:`repro.sim.specialize`) to tabulate a program's
+        :meth:`sectors` list.  Used by the compiled drivers
+        (:mod:`repro.sim.specialize`) to tabulate a program's
         memory traffic once per warp instead of once per issue —
         bit-identical by construction, because it delegates to the
         same two methods in the same order.

@@ -241,7 +241,7 @@ class MemoryHierarchy:
         """:meth:`access_constant` for a single sector id.
 
         Constant reads are warp-uniform (one sector per access), so the
-        specialized backend's issue path calls this instead of building
+        compiled driver's issue path calls this instead of building
         a one-element list per access.  Counter-for-counter identical
         to ``access_constant([sid])``.
         """

@@ -118,17 +118,13 @@ def _simulate_kernel_cell(key: str, item, attempt: int) -> "KernelSimResult":
     return result
 
 
-def _pool_worker_init(fault_spec: str, obs_args, backend: str = "",
+def _pool_worker_init(fault_spec: str, obs_args,
                       source_dir: str = "") -> None:
-    """Pool initializer: install the fault plan, obs, and simulator
-    backend in workers.
+    """Pool initializer: install the fault plan and obs in workers.
 
-    The backend selection is process-global (see
-    :mod:`repro.sim.backend`), so fork-based pools inherit it — but
-    spawn-based platforms would silently revert to the default, hence
-    the explicit re-install here.  ``source_dir`` points workers at
-    the persisted-driver directory so they reuse generated sources
-    instead of re-running codegen per process.
+    ``source_dir`` points workers at the persisted-driver directory so
+    they reuse generated sources instead of re-running codegen per
+    process.
     """
     if fault_spec:
         from repro.resilience.faults import worker_init
@@ -138,10 +134,6 @@ def _pool_worker_init(fault_spec: str, obs_args, backend: str = "",
         from repro.obs.runtime import worker_obs_init
 
         worker_obs_init(*obs_args)
-    if backend:
-        from repro.sim.backend import set_backend
-
-        set_backend(backend)
     if source_dir:
         from repro.sim.specialize import configure_source_dir
 
@@ -167,7 +159,7 @@ def _timeout_own_fault(injector, future, key: str, attempt: int) -> bool:
 
 def _simulate_sm_task(item) -> "EventCounters":
     """Simulate one SM of one launch (runs in a worker process)."""
-    from repro.sim.backend import make_sm_simulator
+    from repro.sim.sm import make_sm_simulator
 
     spec, program, launch, config, sm_index = item
     return make_sm_simulator(
@@ -241,26 +233,22 @@ class ExecutionEngine:
 
             from repro.resilience.faults import active_injector
 
-            from repro.sim import backend as sim_backend
             from repro.sim import specialize
 
             plan = active_injector().plan
             obs_args = active_obs().worker_init_args()
-            backend = sim_backend.current_backend()
             src_dir = specialize._SOURCE_DIR
             initializer, initargs = None, ()
             if (not plan.empty or obs_args is not None
-                    or backend != sim_backend.DEFAULT_BACKEND
                     or src_dir is not None):
                 # fork inherits the installed fault plan for free; the
                 # initializer covers spawn-based platforms too, and
-                # (re)installs worker-side observability, backend
-                # selection and the driver source dir either way.
+                # (re)installs worker-side observability and the
+                # driver source dir either way.
                 initializer = _pool_worker_init
                 initargs = (
                     plan.spec_string() if not plan.empty else "",
                     obs_args,
-                    backend,
                     str(src_dir) if src_dir is not None else "",
                 )
             self._pool = ProcessPoolExecutor(
@@ -865,7 +853,6 @@ def engine_context(
     faults: str | None = None,
     retries: int | None = None,
     deadline_s: float | None = None,
-    backend: str | None = None,
     cache: "SimResultCache | None" = None,
 ) -> Iterator[ExecutionEngine]:
     """Install a configured engine for the duration of the block.
@@ -873,11 +860,9 @@ def engine_context(
     ``faults`` is a fault-injection spec string (see
     :mod:`repro.resilience.faults`); it is installed around the engine
     so pool workers inherit it.  ``retries``/``deadline_s`` configure
-    the engine's :class:`~repro.resilience.policy.RetryPolicy`.
-    ``backend`` selects the SM cycle-loop implementation for the block
-    (see :mod:`repro.sim.backend`); with a persistent cache configured,
-    generated specialized drivers are persisted alongside it under
-    ``<cache>/specialized/``.
+    the engine's :class:`~repro.resilience.policy.RetryPolicy`.  With a
+    persistent cache configured, generated SM drivers are persisted
+    alongside it under ``<cache>/specialized/``.
 
     A ``cache`` *instance* wins over ``cache_dir``: the service daemon
     passes its long-lived eviction-aware store here so every engine
@@ -889,10 +874,6 @@ def engine_context(
     with ExitStack() as stack:
         if faults:
             stack.enter_context(install_faults(faults))
-        if backend is not None:
-            from repro.sim.backend import backend_context
-
-            stack.enter_context(backend_context(backend))
         if no_cache:
             cache = None
         elif cache is None and cache_dir is not None:

@@ -19,7 +19,7 @@ from repro.isa.program import KernelProgram, LaunchConfig
 from repro.sim.config import DEFAULT_CONFIG, SimConfig
 from repro.sim.counters import EventCounters
 from repro.sim.fingerprint import sim_fingerprint
-from repro.sim.sm import _blocks_for_sm
+from repro.sim.sm import _blocks_for_sm, make_sm_simulator
 
 
 @dataclass
@@ -113,8 +113,6 @@ class GPUSimulator:
                 SectorCache(self.spec.memory.l2) if self.config.share_l2
                 else None
             )
-            from repro.sim.backend import make_sm_simulator
-
             for sm_index in range(n_sim):
                 sim = make_sm_simulator(
                     self.spec, program, launch, self.config,

@@ -10,33 +10,29 @@ Per cycle every resident warp is assigned exactly one
 :class:`~repro.sim.stall_reasons.WarpState` — the invariant the PMU
 metrics rely on (``Σ state_cycles == warp_active_cycles``).
 
-The loop is *event-driven*: warps in a timed wait sit in per
-sub-partition wake queues (min-heaps keyed on ``ready_cycle``) and are
-never touched until they wake; issue candidates live in per
-sub-partition ready lists.  Stall cycles are charged in bulk —
-``examine_cycle − stall_start`` added to the warp's ``wait_state``
-when it is next examined — instead of one increment per warp per
-cycle, and whole cycles with no ready warp are skipped outright.
-This generalizes the old all-asleep fast-forward to the common
-memory-bound case where one or two warps are active and thirty sit on
-the long scoreboard.  The accounting is **bit-identical** to the
-per-cycle scan (``sm_reference.ReferenceSMSimulator``): every
-pseudo-random roll is keyed on ``(seed, warp_id, iteration, pc)``, not
-on host iteration order, and classification order within a cycle
-(sub-partition major, warp spawn order minor) is preserved via the
-``Warp.seq`` tie-break.  Pinned by ``tests/test_sim_equivalence.py``
-and the golden fixture ``tests/data/golden_sim_counters.json``.
+Two cycle loops implement that model, counter for counter identical:
+
+* :class:`SMSimulator` — the production loop.  Its cycle loop is a
+  driver compiled per program by :mod:`repro.sim.specialize`;
+  warps sleeping on a timed wait cost nothing until they wake, and
+  cycles with no ready warp are skipped in bulk.
+* :class:`~repro.sim.sm_reference.ReferenceSMSimulator` — the frozen
+  per-cycle scan of the seed revision, kept as the behavioural
+  oracle.  It inherits this class's construction and warp/block
+  bookkeeping and brings its own loop and issue path.
+
+:func:`make_sm_simulator` picks between them: a program the
+specializer declines (:func:`repro.sim.specialize.check_supported`)
+runs on the reference loop.  Bit-identity is pinned by
+``tests/test_sim_equivalence.py``, ``tests/test_specialize.py`` and
+the golden fixture ``tests/data/golden_sim_counters.json``.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from operator import attrgetter
-
 from repro.arch.spec import GPUSpec
 from repro.errors import SimulationError
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import ALL_OP_CLASSES, OpClass, Opcode
+from repro.isa.opcodes import ALL_OP_CLASSES
 from repro.isa.program import KernelProgram, LaunchConfig
 from repro.obs.runtime import active_obs
 from repro.sim.address_gen import AddressGenerator, build_generators
@@ -44,47 +40,21 @@ from repro.sim.caches import MemoryHierarchy, SectorCache
 from repro.sim.config import SimConfig
 from repro.sim.counters import EventCounters
 from repro.sim.functional_units import DrainQueue, PipeSet
-from repro.sim.rng import hash_u64, mix64
-from repro.sim.stall_reasons import ALL_STATES, WarpState
-from repro.sim.warp import SB_LONG, SB_SHORT, Warp
+from repro.sim.rng import hash_u64
+from repro.sim.stall_reasons import ALL_STATES
+from repro.sim.warp import Warp
 
 #: sentinel ready_cycle for barrier blocking (released by a sibling warp).
 _BARRIER_WAIT = 1 << 60
 
-#: instructions per fetch group (i-cache request granularity).
-_FETCH_GROUP = 8
-
-#: classification tie-break: warp spawn order within a sub-partition.
-_BY_SEQ = attrgetter("seq")
-
-#: divisor turning a 64-bit hash into a float in [0, 1) — exactly what
-#: :func:`repro.sim.rng.uniform` divides by.
-_TWO64 = float(1 << 64)
-#: 64-bit mask for the inlined SplitMix64 rounds (see rng.mix64).
-_M64 = (1 << 64) - 1
-
-_CONTROL_IDX = OpClass.CONTROL.idx
-_DISPATCH_STALL_IDX = WarpState.DISPATCH_STALL.idx
-_NOT_SELECTED_IDX = WarpState.NOT_SELECTED.idx
-#: per-pc issue-path dispatch kinds (``_kind_by_pc``): opcode class
-#: resolved once at construction instead of attribute chases per
-#: attempted issue.
-_K_GLOBAL = 0    # LG-queue memory (global/local)
-_K_SHARED = 1    # MIO-queue memory (shared)
-_K_TEX = 2       # TEX-queue memory
-_K_CONST = 3     # immediate-constant read
-_K_ALU = 4       # functional-unit op (incl. control on the ctrl pipe)
-_K_BRA = 5
-_K_BAR = 6
-_K_MEMBAR = 7
-_K_SLEEP = 8
-#: scoreboard kind (SB_FIXED / SB_LONG / SB_SHORT) -> blocked state.
-_SB_STATE = (WarpState.WAIT, WarpState.LONG_SCOREBOARD,
-             WarpState.SHORT_SCOREBOARD)
-
 
 class SMSimulator:
-    """Simulates the blocks assigned to one SM and collects its events."""
+    """Simulates the blocks assigned to one SM and collects its events.
+
+    Runs the program's compiled driver, so the program must be one the
+    specializer accepts; :func:`make_sm_simulator` routes the others to
+    the reference loop.
+    """
 
     def __init__(
         self,
@@ -97,6 +67,18 @@ class SMSimulator:
         blocks_assigned: int | None = None,
         shared_l2: SectorCache | None = None,
     ) -> None:
+        if type(self).run is SMSimulator.run:
+            # this object runs the compiled driver (a subclass with its
+            # own run(), i.e. the reference loop, accepts any program).
+            from repro.sim import specialize
+
+            reason = specialize.check_supported(program, spec, config)
+            if reason is not None:
+                raise SimulationError(
+                    f"kernel {program.name!r} cannot run on the compiled "
+                    f"driver: {reason} (make_sm_simulator routes it to "
+                    "the reference loop)"
+                )
         self.spec = spec
         self.program = program
         self.launch = launch
@@ -142,6 +124,8 @@ class SMSimulator:
         ]
         self.dispatch_busy_until = [0] * n_smsp
 
+        # warp/block bookkeeping of the per-cycle reference loop (the
+        # compiled driver keeps the same state in its own locals).
         self.warps: list[Warp] = []
         self.smsp_warps: list[list[Warp]] = [[] for _ in range(n_smsp)]
         self._rr: list[int] = [0] * n_smsp
@@ -153,120 +137,24 @@ class SMSimulator:
         self._spawn_pending = 0
         self._exiting: set[int] = set()  # warp ids draining after EXIT
 
-        # event-driven scheduling state.  Sleeping warps live in per
-        # sub-partition wake heaps of (ready_cycle, seq, epoch, warp);
-        # seq is unique, so heap ordering never falls through to Warp.
-        # Entries are invalidated lazily: a barrier release re-arms the
-        # warp under a bumped wake_epoch and the stale entry is skipped
-        # on pop.  Issue candidates live in the per sub-partition ready
-        # lists, kept in seq order.
-        self._wake: list[list[tuple[int, int, int, Warp]]] = [
-            [] for _ in range(n_smsp)
-        ]
-        self._ready: list[list[Warp]] = [[] for _ in range(n_smsp)]
-        self._live = 0          # resident, non-exited warps
-        self._seq = 0           # next Warp.seq (per-SM spawn order)
-        self._block_warps: dict[int, list[Warp]] = {}  # live warps per CTA
-        # barrier-release context: which warp the loop is currently
-        # examining, so the release can tell "already classified this
-        # cycle" (charge through the release cycle) from "not yet"
-        # (charge up to it).  _cur_seq is None during the issue phase.
-        self._cur_smsp = 0
-        self._cur_seq: int | None = None
+        # driver accumulators: plain lists indexed by the enums' int
+        # ``idx`` (state cycles, op-class counts) plus the four
+        # per-issue counters (issued, executed, thread_exec, replay),
+        # folded into the EventCounters when run() finishes.
+        self._sc = [0] * len(ALL_STATES)
+        self._cls = [0] * len(ALL_OP_CLASSES)
+        self._hot = [0, 0, 0, 0]
         # run() statistics, exported as obs metrics (docs/OBSERVABILITY.md).
         self._processed_cycles = 0
         self._skipped_cycles = 0
         self._wake_events = 0
-
-        # hot-path accumulators: plain lists indexed by the enums' int
-        # ``idx`` (no enum __hash__ per increment), folded back into the
-        # enum-keyed EventCounters dicts when run() finishes.
-        self._sc = [0] * len(ALL_STATES)
-        self._cls = [0] * len(ALL_OP_CLASSES)
-        # shared prefix of every per-warp pseudo-random roll:
-        # hash_u64(seed, warp_id) == mix64(_seed_acc ^ warp_id).
+        # inputs of the driver's per-warp roll tables: the shared prefix
+        # of every pseudo-random roll, hash_u64(seed, warp_id) ==
+        # mix64(_seed_acc ^ warp_id), and the hiccup rates.
         self._seed_acc = hash_u64(config.seed)
         self._bank_rate = config.bank_conflict_rate
         self._disp_rate = config.dispatch_stall_rate
-        self._body_len = len(program.body)
-        self._iterations = program.iterations
-        # per-pc lookup tables: the classification scan touches only an
-        # instruction's registers and the memory path only its
-        # generator, so index those directly instead of chasing
-        # Instruction attributes per examined warp.
-        self._srcs_by_pc = [inst.srcs for inst in program.body]
-        self._dst_by_pc = [inst.dst for inst in program.body]
-        self._gen_by_pc = [
-            self.generators[inst.mem.pattern] if inst.mem is not None
-            else None
-            for inst in program.body
-        ]
-        # issue-path dispatch tables: opcode/operand properties resolved
-        # once per pc here, not chased per attempted issue.
-        self._bank_by_pc = [
-            len(inst.srcs) >= 2 and config.bank_conflict_rate > 0.0
-            for inst in program.body
-        ]
-        self._disp_on = config.dispatch_stall_rate > 0.0
-        self._cls_idx_by_pc = [
-            inst.opcode.op_class.idx for inst in program.body
-        ]
-        self._load_dst_by_pc = [
-            inst.dst if inst.opcode.loads else None for inst in program.body
-        ]
-        self._unit_by_pc = [
-            (inst.opcode.fu or "ctrl") for inst in program.body
-        ]
-        kinds = []
-        mem_rows: list[tuple[list[DrainQueue], WarpState] | None] = []
-        for inst in program.body:
-            op = inst.opcode
-            if op.mem_path:
-                cls = op.op_class
-                if cls is OpClass.MEM_CONSTANT:
-                    kinds.append(_K_CONST)
-                    mem_rows.append(None)
-                elif cls is OpClass.MEM_SHARED:
-                    kinds.append(_K_SHARED)
-                    mem_rows.append(
-                        (self.mio_queue, WarpState.MIO_THROTTLE)
-                    )
-                elif cls is OpClass.MEM_TEXTURE:
-                    kinds.append(_K_TEX)
-                    mem_rows.append(
-                        (self.tex_queue, WarpState.TEX_THROTTLE)
-                    )
-                else:
-                    kinds.append(_K_GLOBAL)
-                    mem_rows.append(
-                        (self.lg_queue, WarpState.LG_THROTTLE)
-                    )
-            elif op is Opcode.BRA:
-                kinds.append(_K_BRA)
-                mem_rows.append(None)
-            elif op is Opcode.BAR:
-                kinds.append(_K_BAR)
-                mem_rows.append(None)
-            elif op is Opcode.MEMBAR:
-                kinds.append(_K_MEMBAR)
-                mem_rows.append(None)
-            elif op is Opcode.NANOSLEEP:
-                kinds.append(_K_SLEEP)
-                mem_rows.append(None)
-            else:
-                kinds.append(_K_ALU)
-                mem_rows.append(None)
-        self._kind_by_pc = kinds
-        self._mem_by_pc = mem_rows
-        # flat accumulators for the four per-issue counters, folded into
-        # EventCounters by _fold_fast_counters.
-        self._hot = [0, 0, 0, 0]  # issued, executed, thread_exec, replay
-        # spec scalars read once per issued instruction: plain attributes
-        # beat the two-level dataclass chains in the issue path.
         self._lsu_width = mem.lsu_sectors_per_cycle
-        self._shared_latency = mem.shared_latency
-        self._branch_latency = spec.sm.branch_resolve_latency
-        self._icache_lat = spec.sm.icache_miss_latency
 
         # i-cache pressure: probability that a fetch-group boundary misses.
         footprint = program.footprint_instructions
@@ -292,7 +180,7 @@ class SMSimulator:
         )
 
     # ------------------------------------------------------------------
-    # block / warp management
+    # block / warp management (used by the per-cycle reference loop)
     # ------------------------------------------------------------------
     def _spawn_block(self, cycle: int) -> None:
         """Make the next pending block resident and create its warps."""
@@ -301,46 +189,30 @@ class SMSimulator:
         wpb = self.launch.warps_per_block
         self._block_live_warps[block_id] = wpb
         self._barrier_arrivals[block_id] = 0
-        block_warps: list[Warp] = []
-        self._block_warps[block_id] = block_warps
         base_id = (self.sm_index << 24) | (block_id << 8)
+        fetch_latency = self.spec.sm.icache_miss_latency
         for w in range(wpb):
             smsp = (block_id * wpb + w) % self.spec.sm.subpartitions
             warp = Warp(warp_id=base_id + w, block_id=block_id, smsp=smsp)
-            warp.seq = self._seq
-            self._seq += 1
-            warp.rng_prefix = mix64(self._seed_acc ^ warp.warp_id)
-            warp.rng_iter = mix64(warp.rng_prefix)  # iteration == 0
             # cold instruction fetch, slightly staggered per warp.
-            warp.ready_cycle = cycle + self._icache_lat + (w & 3)
-            warp.wait_state = WarpState.NO_INSTRUCTION
-            warp.stall_start = cycle
+            warp.ready_cycle = cycle + fetch_latency + (w & 3)
             self.warps.append(warp)
             self.smsp_warps[smsp].append(warp)
-            block_warps.append(warp)
-            self._push_wake(warp)
-        self._live += wpb
         self.counters.blocks_launched += 1
         self.counters.warps_launched += wpb
 
-    def _push_wake(self, warp: Warp) -> None:
-        """(Re-)arm a sleeping warp's wake-heap entry."""
-        warp.wake_epoch += 1
-        heappush(self._wake[warp.smsp],
-                 (warp.ready_cycle, warp.seq, warp.wake_epoch, warp))
-
     def _retire_warp(self, warp: Warp, cycle: int) -> None:
-        """Mark a warp exited; schedule replacement blocks lazily."""
+        """Mark a warp exited; schedule replacement blocks lazily.
+
+        ``_release_barrier`` comes from the loop that issues ``BAR``
+        (the reference)."""
         warp.exited = True
-        self._live -= 1
         self._exiting.discard(warp.warp_id)
         block = warp.block_id
-        self._block_warps[block].remove(warp)
         remaining = self._block_live_warps[block] - 1
         self._block_live_warps[block] = remaining
         if remaining == 0:
             del self._block_live_warps[block]
-            del self._block_warps[block]
             self._barrier_arrivals.pop(block, None)
             if self._next_block < self.blocks_total:
                 self._spawn_pending += 1
@@ -350,37 +222,6 @@ class SMSimulator:
             # a warp exited while siblings wait at a barrier that is now
             # complete without it — release them.
             self._release_barrier(block, cycle)
-
-    def _release_barrier(self, block: int, cycle: int) -> None:
-        """Wake every warp of ``block`` waiting at the barrier.
-
-        O(warps-in-block) via the per-block index.  Accrued stall
-        cycles are settled here because the release rewrites
-        ``wait_state``: a warp the cycle loop has already passed this
-        cycle is charged *through* ``cycle`` (the per-cycle scan
-        charged it BARRIER before the release), one not yet reached is
-        charged up to ``cycle`` only and reports NO_INSTRUCTION for the
-        current cycle when it is next examined.
-        """
-        self._barrier_arrivals[block] = 0
-        sc = self._sc
-        cur_smsp = self._cur_smsp
-        cur_seq = self._cur_seq
-        for other in self._block_warps[block]:
-            if not other.at_barrier:
-                continue
-            classified = other.smsp < cur_smsp or (
-                other.smsp == cur_smsp
-                and (cur_seq is None or other.seq < cur_seq)
-            )
-            upto = cycle + 1 if classified else cycle
-            if upto > other.stall_start:
-                sc[other.wait_state.idx] += upto - other.stall_start
-                other.stall_start = upto
-            other.at_barrier = False
-            other.ready_cycle = cycle + 1
-            other.wait_state = WarpState.NO_INSTRUCTION
-            self._push_wake(other)
 
     def _end_of_cycle_spawn(self, cycle: int) -> None:
         """Purge exited warps and make replacement blocks resident."""
@@ -393,309 +234,12 @@ class SMSimulator:
         self._spawn_pending = 0
 
     # ------------------------------------------------------------------
-    # issue path
-    # ------------------------------------------------------------------
-    def _attempt_issue(self, warp: Warp, inst: Instruction,
-                       cycle: int) -> WarpState:
-        """Try to issue ``inst`` from ``warp`` at ``cycle``.
-
-        Returns the warp's state for this cycle: ``SELECTED`` on issue, or
-        a (timed) stall state when a structural hazard blocks it.
-        """
-        pc = warp.pc
-
-        # pseudo-random micro-hiccups (register bank / dispatch glitches);
-        # guarded by a per-dynamic-instruction token so the deterministic
-        # roll cannot stall the same instruction more than once.  The
-        # rolls are rng.uniform(seed, warp_id, iteration, pc, salt)
-        # unrolled around the warp's cached (seed, warp_id) hash prefix.
-        token = warp.iteration * self._body_len + pc
-        if token != warp.hiccup_token:
-            # mix64 inlined (SplitMix64 finalizer): the rolls run once
-            # per dispatched instruction and the call overhead shows.
-            roll_base = -1
-            if self._bank_by_pc[pc]:
-                x = warp.rng_iter ^ pc
-                x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _M64
-                x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _M64
-                roll_base = (x ^ (x >> 31)) & _M64
-                x = roll_base ^ 7
-                x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _M64
-                x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _M64
-                if ((x ^ (x >> 31)) & _M64) / _TWO64 < self._bank_rate:
-                    warp.hiccup_token = token
-                    warp.ready_cycle = cycle + 2
-                    warp.wait_state = WarpState.MISC
-                    return WarpState.MISC
-            if self._disp_on:
-                if roll_base < 0:
-                    x = warp.rng_iter ^ pc
-                    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _M64
-                    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _M64
-                    roll_base = (x ^ (x >> 31)) & _M64
-                x = roll_base ^ 11
-                x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _M64
-                x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _M64
-                if ((x ^ (x >> 31)) & _M64) / _TWO64 < self._disp_rate:
-                    warp.hiccup_token = token
-                    warp.ready_cycle = cycle + 2
-                    warp.wait_state = WarpState.DISPATCH_STALL
-                    return WarpState.DISPATCH_STALL
-
-        kind = self._kind_by_pc[pc]
-        if kind == _K_ALU:
-            # ALU / control ops execute on a functional-unit pipe; most
-            # of a compute-bound kernel's instructions land here.
-            latency = self.pipes[warp.smsp].try_issue(
-                self._unit_by_pc[pc], cycle
-            )
-            if latency < 0:
-                warp.ready_cycle = self.pipes[warp.smsp].next_free(
-                    self._unit_by_pc[pc]
-                )
-                warp.wait_state = WarpState.MATH_PIPE_THROTTLE
-                return WarpState.MATH_PIPE_THROTTLE
-            hot = self._hot
-            hot[0] += 1
-            hot[1] += 1
-            hot[2] += warp.active_threads
-            self._cls[self._cls_idx_by_pc[pc]] += 1
-            dst = inst.dst
-            if dst is not None:
-                warp.pending_regs[dst] = (cycle + latency, 0)  # SB_FIXED
-            warp.ready_cycle = cycle + 1
-            self._advance(warp, cycle)
-            return WarpState.SELECTED
-
-        if kind <= _K_TEX:
-            # queued memory path (LG/MIO/TEX), folded in (one fewer
-            # call per memory instruction; the trace shim wraps
-            # _attempt_issue, so the fold is invisible to
-            # instrumentation).
-            gen = self._gen_by_pc[pc]
-            # consecutive-run accesses (streams, small strides) carry
-            # just (first, n); only irregular shapes build the list.
-            run = gen.span(
-                warp.warp_id, warp.iteration, pc, warp.active_threads
-            )
-            if run is not None:
-                sectors = None
-                first_sector, n_sectors = run
-            else:
-                sectors = gen.sectors(
-                    warp.warp_id, warp.iteration, pc, warp.active_threads
-                )
-                n_sectors = len(sectors)
-            transactions = max(1, -(-n_sectors // self._lsu_width))
-            smsp = warp.smsp
-            queues, throttle = self._mem_by_pc[pc]
-            queue = queues[smsp]
-
-            queue_delay = queue.try_push(cycle, transactions)
-            if queue_delay < 0:
-                # wait until the queue drains enough to accept us.
-                warp.ready_cycle = max(cycle + 1, queue.next_drain(cycle))
-                warp.wait_state = throttle
-                return throttle
-
-            if kind == _K_SHARED:
-                latency = self._shared_latency
-                sb_kind = SB_SHORT
-                # shared-memory bank conflicts genuinely replay at
-                # issue: every extra wavefront consumes an issue slot.
-                issue_slots = transactions
-            else:
-                latency = (
-                    self.memory.access_global_span(first_sector, n_sectors)
-                    if sectors is None
-                    else self.memory.access_global(sectors)
-                )
-                sb_kind = SB_LONG
-                # uncoalesced global accesses are mostly split inside
-                # the LSU; only every fourth extra wavefront re-issues.
-                issue_slots = 1 + (transactions - 1) // 4
-
-            complete = cycle + queue_delay + latency
-            # _count_executed, inlined into the flat accumulators (hot:
-            # every LG/MIO/TEX instruction).
-            hot = self._hot
-            hot[0] += issue_slots
-            hot[1] += 1
-            hot[2] += warp.active_threads
-            hot[3] += issue_slots - 1
-            self._cls[self._cls_idx_by_pc[pc]] += 1
-            dst = self._load_dst_by_pc[pc]
-            if dst is not None:
-                warp.pending_regs[dst] = (complete, sb_kind)
-            if complete > warp.last_mem_complete:
-                warp.last_mem_complete = complete
-            if transactions > 1:
-                # replayed wavefronts occupy the dispatch unit;
-                # dispatch hands two wavefronts per cycle to the LSU
-                # front, so big bursts outpace the queue's
-                # one-per-cycle drain and back it up (lg/mio throttle).
-                dispatch_cycles = (transactions + 1) // 2
-                self.dispatch_busy_until[smsp] = max(
-                    self.dispatch_busy_until[smsp], cycle + dispatch_cycles
-                )
-                warp.ready_cycle = cycle + dispatch_cycles
-            else:
-                warp.ready_cycle = cycle + 1
-            self._advance(warp, cycle)
-            return WarpState.SELECTED
-
-        if kind == _K_CONST:
-            # constant reads go through the IMC; no LSU queue.
-            c = self.counters
-            gen = self._gen_by_pc[pc]
-            sectors = gen.sectors(warp.warp_id, warp.iteration, pc, 1)
-            missed, latency = self.memory.access_constant(sectors)
-            c.inst_issued += 1
-            self._count_executed(warp, inst)
-            if missed:
-                warp.ready_cycle = cycle + latency
-                warp.wait_state = WarpState.IMC_MISS
-            else:
-                warp.ready_cycle = cycle + 1
-            if inst.dst is not None:
-                warp.pending_regs[inst.dst] = (cycle + latency, 0)
-            self._advance(warp, cycle)
-            return WarpState.SELECTED
-        if kind == _K_BRA:
-            return self._issue_branch(warp, inst, cycle)
-        if kind == _K_BAR:
-            return self._issue_barrier(warp, cycle)
-        if kind == _K_MEMBAR:
-            self._count_executed(warp, inst)
-            wake = max(
-                cycle + self._shared_latency,
-                warp.last_mem_complete,
-            )
-            warp.ready_cycle = wake
-            warp.wait_state = WarpState.MEMBAR
-            self._advance(warp, cycle)
-            return WarpState.SELECTED
-        # _K_SLEEP
-        self._count_executed(warp, inst)
-        warp.ready_cycle = cycle + 40
-        warp.wait_state = WarpState.SLEEPING
-        self._advance(warp, cycle)
-        return WarpState.SELECTED
-
-    def _issue_branch(self, warp: Warp, inst: Instruction,
-                      cycle: int) -> WarpState:
-        c = self.counters
-        assert inst.branch is not None
-        info = inst.branch
-        self._count_executed(warp, inst)
-        c.branches_executed += 1
-        taken = round(32 * info.taken_fraction)
-        if 0 < taken < 32 or info.else_length > 0:
-            c.divergent_branches += 1
-        warp.enter_region(warp.pc, info.if_length, info.else_length,
-                          info.taken_fraction)
-        warp.ready_cycle = cycle + self._branch_latency
-        warp.wait_state = WarpState.BRANCH_RESOLVING
-        self._advance(warp, cycle)
-        return WarpState.SELECTED
-
-    def _issue_barrier(self, warp: Warp, cycle: int) -> WarpState:
-        c = self.counters
-        self._count_executed_simple(warp)
-        c.barriers_executed += 1
-        block = warp.block_id
-        self._barrier_arrivals[block] += 1
-        expected = self._block_live_warps[block]
-        if self._barrier_arrivals[block] >= expected:
-            self._release_barrier(block, cycle)
-            warp.ready_cycle = cycle + 1
-        else:
-            warp.at_barrier = True
-            warp.ready_cycle = _BARRIER_WAIT
-            warp.wait_state = WarpState.BARRIER
-        self._advance(warp, cycle)
-        return WarpState.SELECTED
-
-    # ------------------------------------------------------------------
-    # bookkeeping
-    # ------------------------------------------------------------------
-    def _count_executed(self, warp: Warp, inst: Instruction) -> None:
-        c = self.counters
-        op = inst.opcode
-        c.inst_executed += 1
-        if not op.mem_path:
-            c.inst_issued += 1
-        c.thread_inst_executed += warp.active_threads
-        self._cls[op.op_class.idx] += 1
-
-    def _count_executed_simple(self, warp: Warp) -> None:
-        c = self.counters
-        c.inst_executed += 1
-        c.inst_issued += 1
-        c.thread_inst_executed += warp.active_threads
-        self._cls[_CONTROL_IDX] += 1
-
-    def _advance(self, warp: Warp, cycle: int) -> None:
-        """Move the warp past the instruction it just issued."""
-        # Warp.advance_pc, fast-pathed for the converged common case
-        # (empty divergence region — the invariant guarantees
-        # active_threads == 32 then, so the wrap bookkeeping reduces to
-        # the pc/iteration update).
-        if warp.region:
-            at_exit = warp.advance_pc(self._body_len, self._iterations)
-        else:
-            pc = warp.pc + 1
-            if pc >= self._body_len:
-                warp.pc = 0
-                it = warp.iteration + 1
-                warp.iteration = it
-                at_exit = it >= self._iterations
-            else:
-                warp.pc = pc
-                at_exit = False
-        if at_exit:
-            # implicit EXIT: counts as one more executed instruction.
-            self._count_executed_simple(warp)
-            if warp.last_mem_complete > cycle:
-                warp.ready_cycle = warp.last_mem_complete
-                warp.wait_state = WarpState.DRAIN
-                self._exiting.add(warp.warp_id)
-            else:
-                self._retire_warp(warp, cycle)
-            return
-        if warp.pc == 0:
-            # wrapped into a new body iteration: refresh the cached
-            # per-iteration roll prefix (mix64, inlined).
-            x = warp.rng_prefix ^ warp.iteration
-            x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _M64
-            x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _M64
-            warp.rng_iter = (x ^ (x >> 31)) & _M64
-        # instruction-fetch modelling: group boundaries may miss.  The
-        # roll is rng.uniform(seed, warp_id, iteration, pc, 3) unrolled
-        # around the warp's cached prefixes (post-advance pc).
-        if self._fetch_miss_p > 0.0 and warp.pc % self._fetch_group == 0:
-            x = warp.rng_iter ^ warp.pc
-            x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _M64
-            x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _M64
-            x = ((x ^ (x >> 31)) & _M64) ^ 3
-            x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _M64
-            x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _M64
-            if ((x ^ (x >> 31)) & _M64) / _TWO64 < self._fetch_miss_p:
-                miss_ready = cycle + 1 + self._icache_lat
-                if miss_ready > warp.ready_cycle:
-                    warp.ready_cycle = miss_ready
-                    warp.wait_state = WarpState.NO_INSTRUCTION
-
-    # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
     def run(self) -> EventCounters:
         """Simulate until every assigned block completes; return events.
 
-        Event-driven: only *processed* cycles — where some warp wakes
-        or is ready to issue — walk warps at all, and only the woken /
-        ready warps are walked.  Cycles in which every warp sleeps are
-        charged in bulk and skipped.  Counter-for-counter identical to
+        Counter-for-counter identical to
         :class:`~repro.sim.sm_reference.ReferenceSMSimulator`.
         """
         c = self.counters
@@ -704,7 +248,7 @@ class SMSimulator:
         try:
             self._run_loop()
         finally:
-            # fold the list-indexed hot-loop accumulators into the
+            # fold the list-indexed driver accumulators into the
             # enum-keyed counter dicts, also when the loop raises
             # (deadlock / max_cycles) so partial counters stay sane.
             self._fold_fast_counters()
@@ -719,6 +263,13 @@ class SMSimulator:
         c.validate()
         self._record_obs_metrics()
         return c
+
+    def _run_loop(self) -> None:
+        """Run the program's compiled driver (looked up per run, so the
+        driver cache and its metrics see every run)."""
+        from repro.sim import specialize
+
+        specialize.driver_for(self.program, self.spec, self.config).drive(self)
 
     def _fold_fast_counters(self) -> None:
         """Fold ``_sc`` / ``_cls`` / ``_hot`` into the EventCounters."""
@@ -738,313 +289,6 @@ class SMSimulator:
         c.replay_transactions += hot[3]
         self._hot = [0, 0, 0, 0]
 
-    def _run_loop(self) -> None:
-        c = self.counters
-        cycle = 0
-        while self._next_block < min(self.max_concurrent_blocks,
-                                     self.blocks_total):
-            self._spawn_block(0)
-
-        body = self.program.body
-        dispatch_per_smsp = self.spec.sm.dispatch_units_per_subpartition
-        n_smsp = self.spec.sm.subpartitions
-        smsp_range = range(n_smsp)
-        sc = self._sc
-        max_cycles = self.config.max_cycles
-        wake = self._wake
-        ready = self._ready
-        exiting = self._exiting
-        dispatch_busy_until = self.dispatch_busy_until
-        greedy = self._greedy
-        rr = self._rr
-        gto = self._gto
-        attempt = self._attempt_issue
-        selected = WarpState.SELECTED
-        srcs_by_pc = self._srcs_by_pc
-        dst_by_pc = self._dst_by_pc
-        sb_state = _SB_STATE
-        processed = 0
-        skipped = 0
-        wake_events = 0
-        # EventCounters attribute read-modify-writes are measurable at
-        # one-per-cycle; accumulate locally, fold in the finally.
-        cycles_active = 0
-        warp_active = 0
-
-        try:
-            while True:
-                live = self._live
-                if live == 0:
-                    if self._next_block >= self.blocks_total:
-                        break
-                    self._spawn_block(cycle)
-                    live = self._live
-                if cycle >= max_cycles:
-                    raise SimulationError(
-                        f"kernel {self.program.name!r} exceeded "
-                        f"{max_cycles} simulated cycles"
-                    )
-
-                processed += 1
-                cycles_active += 1
-                warp_active += live
-
-                next_ready = False
-                for smsp in smsp_range:
-                    heap = wake[smsp]
-                    exam = ready[smsp]
-                    if heap and heap[0][0] <= cycle:
-                        woken: list[Warp] = []
-                        while heap and heap[0][0] <= cycle:
-                            rc, seq, epoch, w = heappop(heap)
-                            # skip entries orphaned by a barrier release
-                            # or a warp exit.
-                            if (w.exited or epoch != w.wake_epoch
-                                    or rc != w.ready_cycle):
-                                continue
-                            woken.append(w)
-                        wake_events += len(woken)
-                        if exam:
-                            exam = exam + woken
-                            exam.sort(key=_BY_SEQ)
-                        else:
-                            woken.sort(key=_BY_SEQ)
-                            exam = woken
-                    if not exam:
-                        continue
-
-                    # classification: one state per examined warp, in
-                    # the reference scan order (seq within the smsp).
-                    self._cur_smsp = smsp
-                    new_ready: list[Warp] = []
-                    candidates: list[Warp] | None = None
-                    for w in exam:
-                        if w.exited:
-                            continue
-                        start = w.stall_start
-                        if start < cycle:
-                            # bulk charge for the cycles slept through.
-                            sc[w.wait_state.idx] += cycle - start
-                            w.stall_start = cycle
-                        if w.warp_id in exiting:
-                            # drain finished: retire; no state this
-                            # cycle.  The retire can release a barrier
-                            # (last sibling), so expose this warp's seq
-                            # to _release_barrier for the duration.
-                            self._cur_seq = w.seq
-                            warp_active -= 1
-                            self._retire_warp(w, cycle)
-                            self._cur_seq = None
-                            continue
-                        # Warp.scoreboard_block, inlined: RAW on the
-                        # sources, WAW on the destination, expired
-                        # entries dropped.  Runs once per examined warp
-                        # per processed cycle — the call overhead is
-                        # measurable at this frequency.
-                        pending = w.pending_regs
-                        kind = None
-                        ready_at = -1
-                        if pending:
-                            pc = w.pc
-                            get = pending.get
-                            for reg in srcs_by_pc[pc]:
-                                entry = get(reg)
-                                if entry is None:
-                                    continue
-                                rdy, knd = entry
-                                if rdy <= cycle:
-                                    del pending[reg]
-                                elif rdy > ready_at:
-                                    ready_at = rdy
-                                    kind = knd
-                            dst = dst_by_pc[pc]
-                            if dst is not None:
-                                entry = get(dst)
-                                if entry is not None:
-                                    rdy, knd = entry
-                                    if rdy <= cycle:
-                                        del pending[dst]
-                                    elif rdy > ready_at:
-                                        ready_at = rdy
-                                        kind = knd
-                        if kind is None:
-                            if candidates is None:
-                                candidates = [w]
-                            else:
-                                candidates.append(w)
-                            continue
-                        w.ready_cycle = ready_at
-                        st = sb_state[kind]
-                        w.wait_state = st
-                        sc[st.idx] += 1
-                        w.stall_start = cycle + 1
-                        if ready_at <= cycle + 1:
-                            new_ready.append(w)
-                        else:
-                            # _push_wake, inlined.
-                            ep = w.wake_epoch + 1
-                            w.wake_epoch = ep
-                            heappush(heap, (ready_at, w.seq, ep, w))
-
-                    if candidates is not None:
-                        if dispatch_busy_until[smsp] > cycle:
-                            sc[_DISPATCH_STALL_IDX] += len(candidates)
-                            for w in candidates:
-                                w.stall_start = cycle + 1
-                                new_ready.append(w)
-                        else:
-                            if gto:
-                                # greedy-then-oldest: the last issued
-                                # warp first (if still a candidate),
-                                # then by age.
-                                greedy_id = greedy[smsp]
-                                if len(candidates) > 1:
-                                    candidates.sort(
-                                        key=lambda w: (
-                                            w.warp_id != greedy_id,
-                                            w.warp_id,
-                                        )
-                                    )
-                                order = candidates
-                            else:
-                                # loose round-robin start for fairness.
-                                start_i = rr[smsp] % len(candidates)
-                                rr[smsp] += 1
-                                order = (candidates[start_i:]
-                                         + candidates[:start_i])
-                            budget = dispatch_per_smsp
-                            for w in order:
-                                issued = False
-                                if budget > 0:
-                                    state = attempt(w, body[w.pc], cycle)
-                                    sc[state.idx] += 1
-                                    if state is selected:
-                                        issued = True
-                                        budget -= 1
-                                        greedy[smsp] = w.warp_id
-                                else:
-                                    sc[_NOT_SELECTED_IDX] += 1
-                                w.stall_start = cycle + 1
-                                if w.exited:
-                                    continue
-                                rc = w.ready_cycle
-                                if rc > cycle + 1:
-                                    # _push_wake, inlined.
-                                    ep = w.wake_epoch + 1
-                                    w.wake_epoch = ep
-                                    heappush(heap, (rc, w.seq, ep, w))
-                                    continue
-                                if issued:
-                                    # eager scoreboard peek for the next
-                                    # instruction, evaluated as of
-                                    # cycle+1 — the examination it
-                                    # replaces.  If an operand blocks
-                                    # past cycle+1, charge that cycle's
-                                    # state now, drop expired entries as
-                                    # the examination would, and sleep
-                                    # straight to the operand's ready
-                                    # cycle.  Totals are identical:
-                                    # 1 + (T - cycle - 2) either way.
-                                    pending = w.pending_regs
-                                    kind = None
-                                    ready_at = -1
-                                    if pending:
-                                        pc = w.pc
-                                        nc = cycle + 1
-                                        get = pending.get
-                                        for reg in srcs_by_pc[pc]:
-                                            entry = get(reg)
-                                            if entry is None:
-                                                continue
-                                            rdy, knd = entry
-                                            if rdy <= nc:
-                                                del pending[reg]
-                                            elif rdy > ready_at:
-                                                ready_at = rdy
-                                                kind = knd
-                                        dst = dst_by_pc[pc]
-                                        if dst is not None:
-                                            entry = get(dst)
-                                            if entry is not None:
-                                                rdy, knd = entry
-                                                if rdy <= nc:
-                                                    del pending[dst]
-                                                elif rdy > ready_at:
-                                                    ready_at = rdy
-                                                    kind = knd
-                                    if kind is not None:
-                                        # ready_at >= cycle+2 here, so
-                                        # the wake heap covers it.
-                                        st = sb_state[kind]
-                                        w.wait_state = st
-                                        sc[st.idx] += 1
-                                        w.stall_start = cycle + 2
-                                        w.ready_cycle = ready_at
-                                        ep = w.wake_epoch + 1
-                                        w.wake_epoch = ep
-                                        heappush(
-                                            heap,
-                                            (ready_at, w.seq, ep, w),
-                                        )
-                                        continue
-                                new_ready.append(w)
-
-                    if len(new_ready) > 1:
-                        # issue order (GTO / rotated round-robin) is not
-                        # seq order; restore it for the next scan.
-                        new_ready.sort(key=_BY_SEQ)
-                    ready[smsp] = new_ready
-                    if new_ready:
-                        next_ready = True
-
-                if self._spawn_pending:
-                    self._end_of_cycle_spawn(cycle)
-
-                if next_ready:
-                    cycle += 1
-                    continue
-
-                # every live warp sleeps: jump to the earliest wake-up.
-                nxt: int | None = None
-                for smsp in smsp_range:
-                    heap = wake[smsp]
-                    while heap:
-                        rc, seq, epoch, w = heap[0]
-                        if (w.exited or epoch != w.wake_epoch
-                                or rc != w.ready_cycle):
-                            heappop(heap)
-                            continue
-                        if nxt is None or rc < nxt:
-                            nxt = rc
-                        break
-                if nxt is None:
-                    # no sleepers either: everything retired this cycle.
-                    cycle += 1
-                    continue
-                if nxt >= _BARRIER_WAIT:
-                    raise SimulationError(
-                        f"kernel {self.program.name!r}: all warps "
-                        "blocked at a barrier (deadlock)"
-                    )
-                gap = nxt - (cycle + 1)
-                if gap > 0:
-                    # the skipped cycles are charged to each sleeper's
-                    # wait_state lazily, on its next examination.
-                    skipped += gap
-                    cycles_active += gap
-                    warp_active += gap * self._live
-                    cycle = nxt
-                else:
-                    cycle += 1
-
-            c.cycles_elapsed = cycle
-        finally:
-            c.cycles_active += cycles_active
-            c.warp_active_cycles += warp_active
-            self._processed_cycles = processed
-            self._skipped_cycles = skipped
-            self._wake_events = wake_events
-
     def _record_obs_metrics(self) -> None:
         """Export loop statistics as deterministic obs counters.
 
@@ -1058,6 +302,35 @@ class SMSimulator:
             metrics.inc("sim.processed_cycles", self._processed_cycles)
             metrics.inc("sim.skipped_cycles", self._skipped_cycles)
             metrics.inc("sim.wake_events", self._wake_events)
+
+
+def make_sm_simulator(spec: GPUSpec, program: KernelProgram,
+                      launch: LaunchConfig, config: SimConfig,
+                      **kwargs) -> SMSimulator:
+    """Construct the simulator for one SM of a launch.
+
+    The factory behind every plain simulation entry point
+    (:meth:`GPUSimulator.launch_uncached`'s serial path and the
+    engine's per-SM pool task).  A program the specializer accepts runs
+    on :class:`SMSimulator`; one it declines runs on the frozen
+    reference loop, visibly: a ``sim.specialize_fallbacks`` count and a
+    ``sim.specialize_fallback`` trace instant per SM run.
+    """
+    from repro.sim import specialize
+
+    reason = specialize.check_supported(program, spec, config)
+    if reason is None:
+        return SMSimulator(spec, program, launch, config, **kwargs)
+    obs = active_obs()
+    if obs.metrics.enabled:
+        obs.metrics.inc("sim.specialize_fallbacks")
+    obs.tracer.instant(
+        "sim.specialize_fallback", cat="sim",
+        kernel=program.name, reason=reason,
+    )
+    from repro.sim.sm_reference import ReferenceSMSimulator
+
+    return ReferenceSMSimulator(spec, program, launch, config, **kwargs)
 
 
 def _blocks_for_sm(total_blocks: int, sm_count: int, sm_index: int) -> int:

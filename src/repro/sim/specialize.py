@@ -1,10 +1,11 @@
-"""Program-specialized simulator backend.
+"""Per-program compiled drivers: the production SM cycle loop.
 
-The event loop (:mod:`repro.sim.sm`) is a generic interpreter: per
-issued instruction it chases opcode tables, per examined warp it walks
-attribute-heavy ``Warp`` objects.  This module instead *compiles* one
+A generic interpreter of the SM model would, per issued instruction,
+chase opcode tables and, per examined warp, walk attribute-heavy
+``Warp`` objects.  This module instead *compiles* one
 ``KernelProgram`` × ``GPUSpec`` × scheduler combination into a flat,
-closure-light Python driver function:
+closure-light Python driver function, which
+:meth:`repro.sim.sm.SMSimulator.run` executes:
 
 * the per-pc dispatch (kind, functional unit, operand registers,
   latencies, op-class counters) is baked into the generated source as
@@ -16,6 +17,9 @@ closure-light Python driver function:
 * divergence is resolved statically: active-thread masks are a pure
   function of ``pc`` (regions reset at the body wrap), so the
   generated code carries them as literals;
+* warps in a timed wait sit in per sub-partition wake heaps and cost
+  nothing until they wake; stall cycles are charged in bulk when a
+  warp is next examined, and cycles with no ready warp are skipped;
 * every SplitMix64 roll (register-bank / dispatch hiccups, i-cache
   fetch misses) and every address-generator access shape is
   precomputed per warp into flat tables — the rolls vectorized with
@@ -24,12 +28,17 @@ closure-light Python driver function:
   shapes via :meth:`AddressGenerator.access_runs` which delegates to
   the scalar methods.
 
-Bit-identity with :class:`~repro.sim.sm.SMSimulator` (and therefore
-with the frozen ``sm_reference`` oracle) is the contract, pinned by
-the golden fixture and the randomized equivalence tests.  Programs the
-specializer cannot prove it can compile are *declined* with a reason
-string and transparently fall back to the event loop (counted in the
-``sim.specialize_fallbacks`` obs metric, docs/OBSERVABILITY.md).
+Bit-identity with the frozen per-cycle scan
+(:class:`~repro.sim.sm_reference.ReferenceSMSimulator`) is the
+contract, pinned by the golden fixture and the randomized equivalence
+tests: every pseudo-random roll is keyed on ``(seed, warp_id,
+iteration, pc)``, not on host iteration order, and classification
+order within a cycle (sub-partition major, warp spawn order minor) is
+the scan's.  Programs the specializer cannot prove it can compile are
+*declined* with a reason string (:func:`check_supported`);
+:func:`repro.sim.sm.make_sm_simulator` runs them on the reference loop
+instead (counted in the ``sim.specialize_fallbacks`` obs metric,
+docs/OBSERVABILITY.md).
 
 Compiled drivers are keyed by a sha-256 content digest of
 ``(program, spec, scheduler, hiccups on/off)`` — runtime-only knobs
@@ -46,6 +55,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+import numpy as _np
+
 from repro.isa.instruction import AccessKind
 from repro.isa.opcodes import OpClass, Opcode
 from repro.isa.program import KernelProgram
@@ -54,46 +65,36 @@ from repro.sim.rng import mix64
 from repro.obs.runtime import active_obs
 from repro.sim.config import SimConfig
 from repro.sim.fingerprint import content_key
-from repro.sim.sm import SMSimulator
 from repro.sim.warp import Warp
 
 if TYPE_CHECKING:
     from repro.arch.spec import GPUSpec
-
-try:  # gate, don't require: scalar fallback declines instead.
-    import numpy as _np
-
-    _HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is in the image
-    _np = None
-    _HAVE_NUMPY = False
+    from repro.sim.sm import SMSimulator
 
 #: bump when generated-code semantics change; part of the source key,
 #: so stale persisted drivers from older schemas can never be loaded.
 SPECIALIZE_SCHEMA = "repro/sim-specialize@6"
 
 #: hard ceilings on what we will compile.  Beyond them the generated
-#: source / per-warp tables stop paying for themselves; the event loop
-#: handles the long tail.
+#: source / per-warp tables stop paying for themselves; the reference
+#: loop handles the long tail.
 MAX_DYNAMIC_TOKENS = 1 << 16   # iterations * body length
 MAX_BODY_LEN = 512             # one leaf of generated code per pc
 MAX_REGISTER_ID = 4096         # packed scoreboard row length
 
-#: per-pc issue kinds, mirroring sm.py's _K_* (kept local so the
-#: generator does not import private names).
+#: per-pc issue kinds (see _kind_of).
 _GLOBAL, _SHARED, _TEX, _CONST, _ALU, _BRA, _BAR, _MEMBAR, _SLEEP = range(9)
 
 _MEM_KINDS = (_GLOBAL, _SHARED, _TEX)
 
-if _HAVE_NUMPY:
-    _NP_C1 = _np.uint64(0xBF58476D1CE4E5B9)
-    _NP_C2 = _np.uint64(0x94D049BB133111EB)
-    _NP_S30 = _np.uint64(30)
-    _NP_S27 = _np.uint64(27)
-    _NP_S31 = _np.uint64(31)
-    _NP_3 = _np.uint64(3)
-    _NP_7 = _np.uint64(7)
-    _NP_11 = _np.uint64(11)
+_NP_C1 = _np.uint64(0xBF58476D1CE4E5B9)
+_NP_C2 = _np.uint64(0x94D049BB133111EB)
+_NP_S30 = _np.uint64(30)
+_NP_S27 = _np.uint64(27)
+_NP_S31 = _np.uint64(31)
+_NP_3 = _np.uint64(3)
+_NP_7 = _np.uint64(7)
+_NP_11 = _np.uint64(11)
 
 _TWO64 = 18446744073709551616.0
 
@@ -174,8 +175,9 @@ def check_supported(
     program: KernelProgram, spec: "GPUSpec", config: SimConfig
 ) -> str | None:
     """``None`` when the specializer can compile the program for this
-    spec/config, else a human-readable decline reason (the caller
-    falls back to the event loop)."""
+    spec/config, else a human-readable decline reason (the program then
+    runs on the reference loop, see
+    :func:`repro.sim.sm.make_sm_simulator`)."""
     nbody = len(program.body)
     if nbody == 0:
         return "empty body"
@@ -189,15 +191,12 @@ def check_supported(
         )
     units = {fu.name for fu in spec.sm.functional_units}
     max_reg = -1
-    bank_any = False
     for inst in program.body:
         if inst.dst is not None and inst.dst > max_reg:
             max_reg = inst.dst
         for r in inst.srcs:
             if r > max_reg:
                 max_reg = r
-        if len(inst.srcs) >= 2:
-            bank_any = True
         kind = _kind_of(inst)
         if kind == _ALU:
             unit = inst.opcode.fu or "ctrl"
@@ -207,13 +206,6 @@ def check_supported(
             return "BRA without branch info"
     if max_reg >= MAX_REGISTER_ID:
         return f"register id {max_reg} exceeds {MAX_REGISTER_ID - 1}"
-    if not _HAVE_NUMPY:
-        needs_rolls = (
-            config.dispatch_stall_rate > 0.0
-            or (bank_any and config.bank_conflict_rate > 0.0)
-        )
-        if needs_rolls or _fetch_miss_p(program, spec) > 0.0:
-            return "numpy unavailable for roll tables"
     return None
 
 
@@ -353,7 +345,7 @@ class _RuntimeTables:
             if plan.has_rolls:
                 # codes per dynamic token: 1 = bank conflict (wins),
                 # 2 = dispatch hiccup, 0 = clean — the precedence of
-                # sm.py's bank-then-dispatch roll order.  Delivered as
+                # the reference's bank-then-dispatch roll order.  Delivered as
                 # one dict per warp of only the nonzero tokens: rolls
                 # are rare, so the driver's hot path is a single failed
                 # membership test instead of an array load per attempt.
@@ -429,15 +421,14 @@ class _RuntimeTables:
             col = []
             if kind == _CONST:
                 # constant reads probe one sector (active_threads=1 in
-                # the event loop's gen.sectors call).
+                # the reference's gen.sectors call).
                 sectors = gen.sectors
                 for wid in wids:
                     col.append([
                         sectors(wid, it, pc, 1)[0]
                         for it in range(titers)
                     ])
-            elif (_HAVE_NUMPY
-                    and gen.pattern.kind is AccessKind.RANDOM):
+            elif gen.pattern.kind is AccessKind.RANDOM:
                 # vectorized mirror of the RANDOM arm of
                 # AddressGenerator.sectors(): per-lane sector =
                 # base + mix64(hash_u64(seed', wid, it, pc) ^ lane)
@@ -480,7 +471,7 @@ class _RuntimeTables:
                             row.append(_entry(-1, n, ded, trans, wi))
                     ssum[wi] += sl
                     col.append(row)
-            elif (_HAVE_NUMPY and gen._span_ok
+            elif (gen._span_ok
                     and gen.pattern.kind in (AccessKind.STREAM,
                                              AccessKind.STRIDED)):
                 # vectorized mirror of AddressGenerator.span() for the
@@ -598,6 +589,11 @@ class _Driver:
         self.source = source
         #: run-key -> {block_id: prepared chunk}; see _RuntimeTables.
         self.tables_cache: dict[tuple, dict[int, tuple]] = {}
+
+    def drive(self, sim: SMSimulator) -> None:
+        """Run ``sim``'s cycle loop on this driver."""
+        sim._tables = _RuntimeTables(sim, self.plan, self)
+        self.fn(sim)
 
 
 #: key -> _Driver (compiled) or str (decline reason).
@@ -724,30 +720,6 @@ def driver_for(program: KernelProgram, spec: "GPUSpec",
 
 
 # ----------------------------------------------------------------------
-# the backend
-# ----------------------------------------------------------------------
-class SpecializedSMSimulator(SMSimulator):
-    """:class:`SMSimulator` whose cycle loop is a compiled per-program
-    driver.  Counter-for-counter identical to the event loop; declines
-    fall back to it transparently (obs instant + fallback counter)."""
-
-    def _run_loop(self) -> None:
-        d = driver_for(self.program, self.spec, self.config)
-        if isinstance(d, str):
-            obs = active_obs()
-            if obs.metrics.enabled:
-                obs.metrics.inc("sim.specialize_fallbacks")
-            obs.tracer.instant(
-                "sim.specialize_fallback", cat="sim",
-                kernel=self.program.name, reason=d,
-            )
-            super()._run_loop()
-            return
-        self._tables = _RuntimeTables(self, d.plan, d)
-        d.fn(self)
-
-
-# ----------------------------------------------------------------------
 # code generation
 # ----------------------------------------------------------------------
 class _Emitter:
@@ -796,12 +768,12 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
     """Compile one (program, spec, scheduler, hiccups on/off) combo to
     the source of a ``drive(sim)`` function.
 
-    The generated loop is the event loop of :mod:`repro.sim.sm` with
-    every per-program decision resolved at generation time; see the
-    module docstring for the specialization inventory.  Semantics are
-    deliberately line-for-line parallel to ``SMSimulator._run_loop``
-    and ``_attempt_issue`` — when editing either, diff against the
-    other.
+    The generated loop is an event-driven scheduler with every
+    per-program decision resolved at generation time; see the module
+    docstring for the specialization inventory.  Its semantics are
+    those of the per-cycle reference loop and issue path
+    (:mod:`repro.sim.sm_reference`): when editing the generator, the
+    golden sweep and the reference equivalence tests are the check.
     """
     from repro.sim.stall_reasons import WarpState
 
@@ -841,7 +813,7 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
     LGI = WarpState.LG_THROTTLE.idx
     TEXI = WarpState.TEX_THROTTLE.idx
     DRAINI = WarpState.DRAIN.idx
-    # scoreboard kind -> blocked-state index, sm.py's _SB_STATE.
+    # scoreboard kind (SB_FIXED / SB_LONG / SB_SHORT) -> blocked state.
     sbt = f"({WAITI}, {LONGI}, {SHORTI})"
     ctrl_idx = OpClass.CONTROL.idx
     barw = 1 << 60
@@ -977,7 +949,7 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
 
         ``fast`` (the default) emits the wake-collapsed form: the next
         instruction's scoreboard scan runs *now* with the cutoff at the
-        warp's park cycle.  All the quantities the event loop would
+        warp's park cycle.  All the quantities a wake-per-step loop would
         discover at the intermediate wake-up are already known here —
         pend rows hold fixed completion cycles and only this warp
         writes them — so the intermediate wake's settle/classify
@@ -989,7 +961,7 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
         processed/skipped/wake statistics (not part of
         :class:`EventCounters`) shift.
 
-        ``fast=False`` keeps the event loop's literal two-step park —
+        ``fast=False`` keeps the literal two-step park —
         required for barrier waits (a barrier release must re-scan
         un-expired entries) and drain warps (``candf`` must stay
         clear so the exam loop retires them)."""
@@ -1026,8 +998,8 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
             return
         # candidate parks below are pre-settled (full stall interval
         # charged now, ``stall`` seated at the wake cycle) — see
-        # emit_fail; a pooled warp's ``stall`` is never read, so the
-        # event loop's seat-at-issue write is dropped entirely.
+        # emit_fail; a pooled warp's ``stall`` is never read, so no
+        # seat-at-issue write is emitted.
         em.line("rc = rdy[s]")
         with em.blk("if rc > cycle1:"):
             em.line("pool.remove(s)")
@@ -1134,7 +1106,7 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
         if mode:
             # HIC[s] holds only this warp's *pending* nonzero hiccup
             # tokens; pop-on-hit is the consumed-once semantics the
-            # event loop tracks via its last-rolled-token cursor.
+            # reference tracks via the warp's hiccup_token cursor.
             # The token arithmetic folds into the (almost always
             # failing) membership test; the park is pre-settled
             # (sc += 2 covers the issue cycle and the one-cycle park,
@@ -1612,8 +1584,8 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
                                 # issued: scoreboard entries only
                                 # expire, so it is still a candidate —
                                 # joins the persistent pool instead of
-                                # the per-cycle rescan the event loop
-                                # would repeat.  Its park was
+                                # being rescanned every cycle.  Its
+                                # park was
                                 # pre-settled (stall seated at this
                                 # cycle), so no settle arithmetic.
                                 em.line("insort(pool, s)")

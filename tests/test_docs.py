@@ -53,6 +53,24 @@ def test_no_tracked_bytecode():
     assert check_docs.check_no_tracked_bytecode() == []
 
 
+def test_every_emitted_metric_has_a_catalog_row():
+    assert check_docs.check_metric_catalog() == []
+
+
+def test_metric_catalog_scan_finds_literals_and_fstrings():
+    # the check would pass vacuously if the scan stopped seeing the
+    # registry calls or the catalog rows; pin a known name of each form.
+    emitted = check_docs.emitted_metric_names()
+    assert "sim.cells_executed" in emitted
+    assert "service.http_*" in emitted
+    assert "stage.*.wall_seconds" in emitted
+    patterns = check_docs.catalog_metric_patterns(
+        (check_docs.REPO / check_docs.CATALOG_DOC).read_text("utf-8")
+    )
+    assert {"sim.cells_executed", "stage.*.wall_seconds",
+            "resilience.retries.*"} <= patterns
+
+
 def test_observability_examples_are_extractable():
     # the CI job would silently check nothing if the fence markers or
     # command prefixes drifted — pin that extraction finds them.

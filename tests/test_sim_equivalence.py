@@ -1,8 +1,8 @@
-"""Bit-identity proof for the event-driven cycle loop.
+"""Bit-identity proof for the production cycle loop.
 
-Three layers of evidence that the wake-queue scheduler in
-``repro.sim.sm`` is counter-for-counter identical to the per-cycle
-scan it replaced:
+Three layers of evidence that :class:`~repro.sim.sm.SMSimulator` (the
+compiled per-program drivers of :mod:`repro.sim.specialize`) is
+counter-for-counter identical to the per-cycle scan it replaced:
 
 1. a golden fixture (``tests/data/golden_sim_counters.json``) produced
    by the pre-event-loop implementation — every bundled suite on both
@@ -45,21 +45,21 @@ def _assert_identical(live: EventCounters, ref: EventCounters,
                       label: str) -> None:
     if counters_to_doc(live) != counters_to_doc(ref):
         detail = "\n".join(live.diff(ref)) or "(doc-level difference)"
-        pytest.fail(f"{label}: event loop diverged from reference\n{detail}")
+        pytest.fail(f"{label}: production loop diverged from reference\n"
+                    f"{detail}")
 
 
 # ----------------------------------------------------------------------
-# 1. golden fixture: every bundled suite, both paper GPUs, both live
-#    backends (the specialized driver must not fall back on any
-#    bundled app — a fallback would quietly re-test the event loop)
+# 1. golden fixture: every bundled suite, both paper GPUs (the
+#    specializer must not decline any bundled app — a fallback would
+#    quietly re-test the reference loop against its own output)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["event", "specialized"])
-@pytest.mark.parametrize("gpu", GPUS)
-def test_golden_counters_all_suites(gpu, backend):
-    from repro.sim.backend import simulator_class
+# the id suffix names the loop under test: the compiled (specialized)
+# drivers of the production SMSimulator.
+@pytest.mark.parametrize("gpu", GPUS, ids=lambda gpu: f"{gpu}-specialized")
+def test_golden_counters_all_suites(gpu):
     from repro.sim.specialize import check_supported
 
-    sim_cls = simulator_class(backend)
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
     assert gpu in golden["gpus"], "fixture missing this GPU"
     spec = get_gpu(gpu)
@@ -70,11 +70,10 @@ def test_golden_counters_all_suites(gpu, backend):
         for app in suite.applications:
             merged = EventCounters()
             for inv in app.invocations:
-                if backend == "specialized":
-                    assert check_supported(
-                        inv.program, spec, config
-                    ) is None, f"{app.name}: bundled app declined"
-                sim = sim_cls(spec, inv.program, inv.launch, config)
+                assert check_supported(
+                    inv.program, spec, config
+                ) is None, f"{app.name}: bundled app declined"
+                sim = SMSimulator(spec, inv.program, inv.launch, config)
                 merged.merge(sim.run())
             if counters_to_doc(merged) != apps_doc[app.name]:
                 # name the diverging counters, not two whole records.
@@ -195,8 +194,8 @@ def test_loop_statistics_cover_every_active_cycle():
     assert sim._processed_cycles + sim._skipped_cycles == (
         counters.cycles_active
     )
-    # an event-driven run of a memory-heavy kernel must actually skip
-    # cycles — otherwise the wake queues are not doing their job.
+    # a run of a memory-heavy kernel must actually skip cycles —
+    # otherwise the driver's wake queues are not doing their job.
     assert sim._skipped_cycles > 0
     assert sim._wake_events > 0
 

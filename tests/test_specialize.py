@@ -1,4 +1,4 @@
-"""The specialized-driver backend: bit-identity, caching, fallback.
+"""The compiled-driver production loop: bit-identity, caching, fallback.
 
 The perf claim lives in ``benchmarks/test_bench_simcore.py``; this
 file pins the *correctness* half of the contract:
@@ -8,12 +8,14 @@ file pins the *correctness* half of the contract:
   silently fall back on — every shape it claims to support);
 * the numpy-vectorized roll tables match the scalar SplitMix64 path
   bit for bit;
-* declined programs fall back to the event loop transparently, with
-  the fallback visible in observability;
+* programs at the specializer's decline boundaries run bit-identically
+  to the reference on either side of each limit; declined ones run on
+  the reference loop itself, with the fallback visible in
+  observability, and the production class refuses them outright;
 * the driver cache (in-process + persisted source) and the per-run
   table cache behave: hits/misses counted, corrupt persisted sources
   regenerated, reuse bit-identical;
-* the backend selection is threaded through the engine/CLI plumbing.
+* the engine threads the persisted-source directory through.
 """
 
 from __future__ import annotations
@@ -22,27 +24,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from repro.arch import get_gpu
+from repro.errors import SimulationError
 from repro.io.counters_json import counters_to_doc
-from repro.isa import AccessKind, LaunchConfig, ProgramBuilder
+from repro.isa import AccessKind, Instruction, LaunchConfig, ProgramBuilder
+from repro.isa.instruction import MemoryRef
+from repro.isa.opcodes import Opcode
 from repro.obs.runtime import obs_context
 from repro.sim import SimConfig
-from repro.sim.backend import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    backend_context,
-    current_backend,
-    make_sm_simulator,
-    set_backend,
-    simulator_class,
-)
+from repro.sim.caches import SectorCache
 from repro.sim.gpu import GPUSimulator
 from repro.sim.rng import mix64
-from repro.sim.sm import SMSimulator
+from repro.sim.sm import SMSimulator, make_sm_simulator
 from repro.sim.sm_reference import ReferenceSMSimulator
 from repro.sim.specialize import (
+    MAX_BODY_LEN,
     MAX_DYNAMIC_TOKENS,
-    SpecializedSMSimulator,
+    MAX_REGISTER_ID,
     check_supported,
     clear_driver_cache,
     driver_for,
@@ -120,7 +120,7 @@ def test_directed_cases_match_reference(kernel, scheduler):
             kw = dict(blocks_assigned=blocks)
             ref = _run(ReferenceSMSimulator, program, launch, config,
                        **kw)
-            spz = _run(SpecializedSMSimulator, program, launch, config,
+            spz = _run(SMSimulator, program, launch, config,
                        **kw)
             _assert_identical(
                 spz, ref, f"{kernel}/{scheduler}/s{seed}/{blocks}x{tpb}"
@@ -143,7 +143,7 @@ def test_random_kernels_match_reference(program, blocks, tpb, scheduler,
     # every generated shape must be *accepted*: a silent fallback here
     # would make the equivalence claim vacuous.
     assert check_supported(program, SPEC, config) is None
-    spz = _run(SpecializedSMSimulator, program, launch, config,
+    spz = _run(SMSimulator, program, launch, config,
                blocks_assigned=blocks)
     ref = _run(ReferenceSMSimulator, program, launch, config,
                blocks_assigned=blocks)
@@ -151,27 +151,34 @@ def test_random_kernels_match_reference(program, blocks, tpb, scheduler,
     spz.validate()
 
 
-def test_shared_l2_serial_path_matches_event_loop():
+def _reference_shared_l2(program, launch, config):
+    """The serial share_l2 path of GPUSimulator.launch_uncached, with
+    every SM on the reference loop."""
+    l2 = SectorCache(SPEC.memory.l2)
+    return [
+        counters_to_doc(ReferenceSMSimulator(
+            SPEC, program, launch, config, sm_index=i, shared_l2=l2,
+        ).run())
+        for i in range(config.simulated_sms)
+    ]
+
+
+def test_shared_l2_serial_path_matches_reference():
     """share_l2 launches take the serial path; the inline L1/L2 probe
-    must mutate the *shared* cache exactly like the event loop."""
+    must mutate the *shared* cache exactly like the reference loop."""
     program = _divergence_kernel()
     launch = LaunchConfig(blocks=6, threads_per_block=128)
-    docs = []
-    for backend in ("event", "specialized"):
-        with backend_context(backend):
-            config = SimConfig(seed=3, share_l2=True, simulated_sms=2)
-            result = GPUSimulator(SPEC, config).launch_uncached(
-                program, launch
-            )
-        docs.append([counters_to_doc(c) for c in result.per_sm])
-    assert docs[0] == docs[1]
+    config = SimConfig(seed=3, share_l2=True, simulated_sms=2)
+    result = GPUSimulator(SPEC, config).launch_uncached(program, launch)
+    assert [counters_to_doc(c) for c in result.per_sm] == (
+        _reference_shared_l2(program, launch, config)
+    )
 
 
 # ----------------------------------------------------------------------
 # numpy roll tables vs the scalar SplitMix64 path
 # ----------------------------------------------------------------------
 def test_numpy_rolls_bit_identical_to_scalar():
-    np = pytest.importorskip("numpy")
     from repro.sim.specialize import _mix64_np, _u01_np
 
     xs = [0, 1, 2, 1 << 63, (1 << 64) - 1, 0xDEADBEEF]
@@ -186,28 +193,103 @@ def test_numpy_rolls_bit_identical_to_scalar():
 
 
 # ----------------------------------------------------------------------
-# fallback: declined programs run the event loop, visibly
+# decline boundaries: the reference loop runs what the driver declines
 # ----------------------------------------------------------------------
-def _oversized_kernel():
-    b = ProgramBuilder("oversized")
+def _body_kernel(n):
+    """A load, ``n - 2`` dependent ALU ops and a store: body length n."""
+    b = ProgramBuilder(f"body{n}")
     b.pattern("x", AccessKind.STRIDED, working_set_bytes=1 << 20,
-              stride_elements=1)
+              stride_elements=4)
     r = b.ldg("x")
+    for i in range(n - 2):
+        r = b.ffma(r, r) if i % 3 else b.iadd(r)
     b.stg("x", r)
-    return b.build(iterations=MAX_DYNAMIC_TOKENS)
+    return b.build(iterations=1)
+
+
+def _tokens_kernel(iterations):
+    """A one-instruction ALU body: ``iterations`` dynamic tokens (no
+    memory traffic, so the reference runs of 64k tokens stay cheap)."""
+    b = ProgramBuilder(f"tokens{iterations}")
+    b.iadd()
+    return b.build(iterations=iterations)
+
+
+def _register_kernel(reg):
+    """Load into register ``reg`` and consume it: highest id is reg."""
+    b = ProgramBuilder(f"reg{reg}")
+    b.pattern("x", AccessKind.STRIDED, working_set_bytes=1 << 20,
+              stride_elements=8)
+    b.emit(Instruction(Opcode.LDG, dst=reg, mem=MemoryRef(pattern="x")))
+    r = b.ffma(reg, reg)
+    b.stg("x", r)
+    return b.build(iterations=4)
+
+
+#: limit -> (program exactly at it, program one step past it, blocks).
+#: The 64k-token programs launch one block: a reference run of one warp
+#: over 64k tokens already takes about a second.
+BOUNDARIES = {
+    "MAX_BODY_LEN": (lambda: _body_kernel(MAX_BODY_LEN),
+                     lambda: _body_kernel(MAX_BODY_LEN + 1), 2),
+    "MAX_DYNAMIC_TOKENS": (lambda: _tokens_kernel(MAX_DYNAMIC_TOKENS),
+                           lambda: _tokens_kernel(MAX_DYNAMIC_TOKENS + 1),
+                           1),
+    "MAX_REGISTER_ID": (lambda: _register_kernel(MAX_REGISTER_ID - 1),
+                        lambda: _register_kernel(MAX_REGISTER_ID), 2),
+}
+
+
+@pytest.mark.parametrize("past", [False, True], ids=["at", "past"])
+@pytest.mark.parametrize("limit", sorted(BOUNDARIES))
+def test_decline_boundary_matches_reference(limit, past):
+    program = BOUNDARIES[limit][past]()
+    launch = LaunchConfig(blocks=BOUNDARIES[limit][2], threads_per_block=32)
+    config = SimConfig(seed=1)
+    reason = check_supported(program, SPEC, config)
+    assert (reason is not None) == past, reason
+
+    # plain: one SM through the factory vs the reference loop.
+    with obs_context(enabled=True) as obs:
+        sim = make_sm_simulator(SPEC, program, launch, config)
+        counters = sim.run()
+        assert obs.metrics.counter("sim.specialize_fallbacks") == int(past)
+    assert type(sim) is (ReferenceSMSimulator if past else SMSimulator)
+    ref = ReferenceSMSimulator(SPEC, program, launch, config).run()
+    _assert_identical(counters, ref, f"{limit}/{'past' if past else 'at'}")
+
+    # share_l2: both SMs on one L2, through the serial launch path.
+    shared = SimConfig(seed=1, share_l2=True, simulated_sms=2)
+    with obs_context(enabled=True) as obs:
+        result = GPUSimulator(SPEC, shared).launch_uncached(program, launch)
+        assert obs.metrics.counter("sim.specialize_fallbacks") == (
+            2 if past else 0
+        )
+    assert [counters_to_doc(c) for c in result.per_sm] == (
+        _reference_shared_l2(program, launch, shared)
+    )
 
 
 def test_declined_program_falls_back_bit_identical():
-    program = _oversized_kernel()
+    program = _body_kernel(MAX_BODY_LEN + 1)
     launch = LaunchConfig(blocks=1, threads_per_block=32)
-    config = SimConfig(seed=0, max_cycles=50_000_000)
+    config = SimConfig(seed=0)
     reason = check_supported(program, SPEC, config)
-    assert reason is not None and "dynamic length" in reason
+    assert reason is not None and "body length" in reason
     with obs_context(enabled=True) as obs:
-        spz = _run(SpecializedSMSimulator, program, launch, config)
+        sim = make_sm_simulator(SPEC, program, launch, config)
+        assert type(sim) is ReferenceSMSimulator
+        fallback = sim.run()
         assert obs.metrics.counter("sim.specialize_fallbacks") == 1
-    event = _run(SMSimulator, program, launch, config)
-    assert counters_to_doc(spz) == counters_to_doc(event)
+    ref = _run(ReferenceSMSimulator, program, launch, config)
+    assert counters_to_doc(fallback) == counters_to_doc(ref)
+
+
+def test_production_class_refuses_declined_program():
+    program = _tokens_kernel(MAX_DYNAMIC_TOKENS + 1)
+    launch = LaunchConfig(blocks=1, threads_per_block=32)
+    with pytest.raises(SimulationError, match="dynamic length"):
+        SMSimulator(SPEC, program, launch, SimConfig(seed=0))
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +319,7 @@ def test_source_persistence_roundtrip(tmp_path):
     clear_driver_cache()
     try:
         with source_dir(tmp_path):
-            first = _run(SpecializedSMSimulator, program, launch, config)
+            first = _run(SMSimulator, program, launch, config)
             assert path.is_file(), "generated source not persisted"
             text = path.read_text(encoding="utf-8")
 
@@ -245,14 +327,14 @@ def test_source_persistence_roundtrip(tmp_path):
             # cache) loads the persisted source instead of re-running
             # codegen, bit-identically.
             clear_driver_cache()
-            again = _run(SpecializedSMSimulator, program, launch, config)
+            again = _run(SMSimulator, program, launch, config)
             assert counters_to_doc(again) == counters_to_doc(first)
 
             # a corrupt persisted source (truncated write, not valid
             # python) is regenerated, not trusted.
             path.write_text("def drive(sim:\n    (", encoding="utf-8")
             clear_driver_cache()
-            healed = _run(SpecializedSMSimulator, program, launch,
+            healed = _run(SMSimulator, program, launch,
                           config)
             assert counters_to_doc(healed) == counters_to_doc(first)
             assert path.read_text(encoding="utf-8") == text
@@ -260,7 +342,7 @@ def test_source_persistence_roundtrip(tmp_path):
             # ...as is one that parses but lacks the entry point.
             path.write_text("x = 1\n", encoding="utf-8")
             clear_driver_cache()
-            healed = _run(SpecializedSMSimulator, program, launch,
+            healed = _run(SMSimulator, program, launch,
                           config)
             assert counters_to_doc(healed) == counters_to_doc(first)
             assert path.read_text(encoding="utf-8") == text
@@ -274,11 +356,11 @@ def test_runtime_table_cache_reused_across_runs():
     config = SimConfig(seed=5)
     clear_driver_cache()
     try:
-        first = _run(SpecializedSMSimulator, program, launch, config)
+        first = _run(SMSimulator, program, launch, config)
         driver = driver_for(program, SPEC, config)
         assert driver.tables_cache, "per-run table cache not populated"
         keys = set(driver.tables_cache)
-        again = _run(SpecializedSMSimulator, program, launch, config)
+        again = _run(SMSimulator, program, launch, config)
         assert set(driver.tables_cache) == keys
         assert counters_to_doc(again) == counters_to_doc(first)
     finally:
@@ -286,43 +368,12 @@ def test_runtime_table_cache_reused_across_runs():
 
 
 # ----------------------------------------------------------------------
-# backend plumbing
+# engine plumbing
 # ----------------------------------------------------------------------
-def test_backend_selection_and_factory():
-    assert current_backend() == DEFAULT_BACKEND == "specialized"
-    assert simulator_class("event") is SMSimulator
-    assert simulator_class("reference") is ReferenceSMSimulator
-    assert simulator_class("specialized") is SpecializedSMSimulator
-    with backend_context("reference"):
-        assert current_backend() == "reference"
-        program = _constant_kernel()
-        sim = make_sm_simulator(
-            SPEC, program, LaunchConfig(blocks=1, threads_per_block=32),
-            SimConfig(seed=0),
-        )
-        assert type(sim) is ReferenceSMSimulator
-    assert current_backend() == DEFAULT_BACKEND
-    with pytest.raises(Exception):
-        set_backend("no-such-backend")
-
-
-def test_engine_context_threads_backend_and_source_dir(tmp_path):
+def test_engine_context_threads_source_dir(tmp_path):
     from repro.sim import specialize
     from repro.sim.engine import engine_context
 
-    with engine_context(jobs=1, cache_dir=tmp_path, backend="event"):
-        assert current_backend() == "event"
+    with engine_context(jobs=1, cache_dir=tmp_path):
         assert specialize._SOURCE_DIR == tmp_path / "specialized"
-    assert current_backend() == DEFAULT_BACKEND
     assert specialize._SOURCE_DIR is None
-
-
-def test_cli_backend_flag_parses():
-    from repro.cli import build_parser
-
-    args = build_parser().parse_args(["analyze", "--backend", "event"])
-    assert args.backend == "event"
-    assert build_parser().parse_args(["analyze"]).backend is None
-    for name in BACKENDS:
-        parsed = build_parser().parse_args(["analyze", "--backend", name])
-        assert parsed.backend == name

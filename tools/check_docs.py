@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation checks for CI and tests/test_docs.py.
 
-Five checks, all stdlib-only:
+Six checks, all stdlib-only:
 
 1. **Links** — every relative markdown link and every backticked
    repo path (``docs/...``, ``src/...``, ``tests/...``, root ``*.md``)
@@ -16,7 +16,12 @@ Five checks, all stdlib-only:
    pairs — or the U+FFFD replacement character).
 4. **Bytecode hygiene** — ``git ls-files`` must track no ``*.pyc`` /
    ``__pycache__`` entries (they were once committed by accident).
-5. **Runnable examples** (``--run-examples``) — the ``bash`` fenced
+5. **Metric catalog** — every metric name passed to a metrics
+   registry (``metrics.inc`` / ``observe`` / ``set_gauge``) under
+   ``src/`` as a string literal or f-string has a row in the
+   ``docs/OBSERVABILITY.md`` catalog (``<...>`` placeholders in a row
+   match any text; an f-string's fields must line up with them).
+6. **Runnable examples** (``--run-examples``) — the ``bash`` fenced
    blocks of the docs in ``EXAMPLE_DOCS`` are executed: every
    ``gpu-topdown ...`` / ``python -m repro...`` line runs in a scratch
    directory, so the flagship docs' examples cannot rot.  Restrict to
@@ -28,6 +33,8 @@ Exit code 0 = all checks pass; 1 = findings (listed on stderr).
 from __future__ import annotations
 
 import argparse
+import ast
+import fnmatch
 import os
 import re
 import subprocess
@@ -194,6 +201,68 @@ def check_no_tracked_bytecode() -> list[str]:
     return [f"tracked bytecode: {name}" for name in out]
 
 
+#: metrics-registry methods whose first argument is a metric name.
+METRIC_CALLS = ("inc", "observe", "set_gauge")
+METRIC_KINDS = ("counter", "gauge", "histogram")
+CATALOG_DOC = "docs/OBSERVABILITY.md"
+
+
+def emitted_metric_names() -> dict[str, str]:
+    """Metric names emitted under ``src/``, each mapped to its first
+    call site.  An f-string's replacement fields become ``*``."""
+    names: dict[str, str] = {}
+    for path in sorted((REPO / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and node.args
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in METRIC_CALLS):
+                continue
+            recv = node.func.value
+            if not (isinstance(recv, ast.Attribute) and recv.attr == "metrics"
+                    or isinstance(recv, ast.Name) and recv.id == "metrics"):
+                continue
+            arg = node.args[0]
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                name = arg.value
+            elif isinstance(arg, ast.JoinedStr):
+                name = "".join(
+                    part.value if isinstance(part, ast.Constant) else "*"
+                    for part in arg.values
+                )
+            else:
+                continue
+            names.setdefault(
+                name, f"{path.relative_to(REPO).as_posix()}:{node.lineno}"
+            )
+    return names
+
+
+def catalog_metric_patterns(markdown: str) -> set[str]:
+    """Metric names of the catalog table rows (``<...>`` as ``*``)."""
+    patterns = set()
+    for line in markdown.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) < 3 or cells[1] not in METRIC_KINDS:
+            continue
+        for token in re.findall(r"`([^`]+)`", cells[0]):
+            patterns.add(re.sub(r"<[^>]*>", "*", token))
+    return patterns
+
+
+def check_metric_catalog() -> list[str]:
+    patterns = catalog_metric_patterns(
+        (REPO / CATALOG_DOC).read_text("utf-8")
+    )
+    return [
+        f"{site}: metric {name!r} has no row in {CATALOG_DOC}"
+        for name, site in sorted(emitted_metric_names().items())
+        if not any(name == p or ("*" not in name
+                                 and fnmatch.fnmatchcase(name, p))
+                   for p in patterns)
+    ]
+
+
 def extract_bash_commands(markdown: str) -> list[str]:
     """The executable command lines of all ``bash`` fenced blocks,
     with ``\\``-continuations joined."""
@@ -266,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
                              "the EXAMPLE_DOCS")
     args = parser.parse_args(argv)
     problems = (check_links() + check_anchors() + check_encoding()
-                + check_no_tracked_bytecode())
+                + check_no_tracked_bytecode() + check_metric_catalog())
     if args.run_examples:
         docs = [args.doc] if args.doc else EXAMPLE_DOCS
         for doc in docs:

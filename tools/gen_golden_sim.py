@@ -12,14 +12,15 @@ only when the simulated *semantics* change deliberately — that is a
 counter-breaking change and must also retire every persistent result
 cache (see docs/PERFORMANCE.md).
 
-``--backend`` selects the cycle-loop implementation (event by
-default); since all backends are bit-identical, regenerating under a
-different backend must produce a byte-identical file — CI exploits
-that as an end-to-end equivalence check.
+Each SM is built by :func:`repro.sim.sm.make_sm_simulator`, so
+kernels run on the production loop (the compiled drivers) and any
+program the specializer declines on the reference loop.  Because the
+fixture predates both, regenerating it must produce a byte-identical
+file; CI exploits that as an end-to-end equivalence check.
 
 Usage::
 
-    PYTHONPATH=src python tools/gen_golden_sim.py [--backend NAME]
+    PYTHONPATH=src python tools/gen_golden_sim.py
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from repro.arch import get_gpu  # noqa: E402
 from repro.io.counters_json import counters_to_doc  # noqa: E402
 from repro.lint import bundled_suites  # noqa: E402
 from repro.sim import SimConfig  # noqa: E402
-from repro.sim.backend import BACKENDS, simulator_class  # noqa: E402
 from repro.sim.counters import EventCounters  # noqa: E402
+from repro.sim.sm import make_sm_simulator  # noqa: E402
 
 GPUS = ("gtx1070", "rtx4000")
 OUTPUT = Path(__file__).resolve().parent.parent / "tests" / "data" / (
@@ -44,24 +45,17 @@ OUTPUT = Path(__file__).resolve().parent.parent / "tests" / "data" / (
 )
 
 
-def app_counters(spec, app, config: SimConfig, sim_cls) -> EventCounters:
+def app_counters(spec, app, config: SimConfig) -> EventCounters:
     """Merged single-SM counters over every invocation of one app."""
     merged = EventCounters()
     for inv in app.invocations:
-        sim = sim_cls(spec, inv.program, inv.launch, config)
+        sim = make_sm_simulator(spec, inv.program, inv.launch, config)
         merged.merge(sim.run())
     return merged
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--backend", default="event", choices=list(BACKENDS),
-        help="cycle-loop implementation to generate with (all are "
-             "bit-identical; default: event)",
-    )
-    args = parser.parse_args()
-    sim_cls = simulator_class(args.backend)
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
     config = SimConfig(seed=0)
     doc: dict = {
         "_comment": (
@@ -80,7 +74,7 @@ def main() -> None:
             apps_doc = {}
             for app in suite.applications:
                 apps_doc[app.name] = counters_to_doc(
-                    app_counters(spec, app, config, sim_cls)
+                    app_counters(spec, app, config)
                 )
             suites_doc[suite_name] = apps_doc
         doc["gpus"][gpu] = suites_doc
