@@ -61,7 +61,7 @@ def _best_of(kind: str) -> dict:
     spec = get_gpu(GPU)
     program = _kernel(kind)
     config = SimConfig(seed=SEED)
-    assert check_supported(program, spec, config) is None
+    assert check_supported(program, spec) is None
     best = {"reference": float("inf"), "specialized": float("inf")}
     cycles = 0
     identical = True

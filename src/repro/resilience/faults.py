@@ -32,8 +32,9 @@ Supported sites (each has one fixed failure mode):
 ``sim.hang``              the simulated kernel sleeps ``hang=`` seconds
                           (cycle-budget overrun), tripping the engine's
                           per-cell deadline
-``cache.write``           crash between the temp-file write and the atomic
-                          rename of a result-cache shard
+``cache.write``           writer crash immediately before the atomic write
+                          of a result-cache shard (the previous entry, or
+                          none, stays)
 ``cache.entry``           truncate a just-written cache shard (torn write
                           discovered by a later reader)
 ``profiler.metrics``      drop roughly half of a kernel's collected metric

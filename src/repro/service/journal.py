@@ -1,8 +1,9 @@
 """Crash-recoverable job journal for the profiling service.
 
 The daemon's source of truth for *which jobs exist and how far they
-got* is an append-only JSONL journal in the state directory, built on
-the same invariants as :class:`repro.resilience.checkpoint.RunJournal`:
+got* is an append-only JSONL journal in the state directory: a
+:class:`repro.fsutil.JsonlJournal`, like the checkpoint journal
+(:class:`repro.resilience.checkpoint.RunJournal`), so:
 
 * a schema header pins the layout; a journal written by an
   incompatible daemon version is ignored rather than misread;
@@ -14,8 +15,8 @@ the same invariants as :class:`repro.resilience.checkpoint.RunJournal`:
   line: replay stops there and the half-recorded event simply never
   happened;
 * opening for writing rewrites the file from the validated replayed
-  events (temp file + atomic rename + parent-directory fsync), so a
-  torn tail can never corrupt events appended after a restart.
+  events (durable atomic rewrite, see :meth:`ServiceJournal._compacted`),
+  so a torn tail can never corrupt events appended after a restart.
 
 Event vocabulary (one JSON object per line after the header):
 
@@ -37,13 +38,11 @@ the restarted daemon; jobs with a ``done`` are served from the store.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ServiceError
-from repro.fsutil import fsync_dir
+from repro.fsutil import JsonlJournal
 
 #: bump when the event layout changes; old journals are not replayed.
 SERVICE_JOURNAL_SCHEMA = "repro/service-journal@1"
@@ -74,37 +73,16 @@ class ServiceJournal:
         #: preserve insertion order, so re-queueing after a restart
         #: follows the original submission order deterministically).
         self.jobs: dict[str, ReplayedJob] = {}
-        self._fh = None
-        self._replay()
+        # the first append rewrites from the validated replayed state,
+        # so a torn tail left by a killed daemon never pollutes it.
+        self._log = JsonlJournal(
+            self.path, {"schema": SERVICE_JOURNAL_SCHEMA}, self._compacted
+        )
+        for event in self._log.records():
+            if not self._apply(event):
+                break  # inconsistent tail: the event never happened
 
     # -- replay -----------------------------------------------------------
-    def _replay(self) -> None:
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return  # first boot: nothing to recover
-        lines = text.splitlines()
-        if not lines:
-            return
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError:
-            return  # torn header: an empty journal, not an error
-        if (
-            not isinstance(header, dict)
-            or header.get("schema") != SERVICE_JOURNAL_SCHEMA
-        ):
-            return  # incompatible layout: never misread old events
-        for line in lines[1:]:
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                break  # torn tail: the event never happened
-            if not isinstance(event, dict) or "event" not in event:
-                break
-            if not self._apply(event):
-                break
-
     def _apply(self, event: dict) -> bool:
         """Fold one event into :attr:`jobs`; False stops the replay."""
         kind = event.get("event")
@@ -146,76 +124,24 @@ class ServiceJournal:
         return False
 
     # -- writing ----------------------------------------------------------
-    def _open(self):
-        if self._fh is not None:
-            return self._fh
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        # Rewrite from the validated replayed state so a torn tail left
-        # by the previous (killed) daemon never pollutes our appends.
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "w") as fh:
-            fh.write(
-                json.dumps(
-                    {"schema": SERVICE_JOURNAL_SCHEMA}, sort_keys=True
-                )
-                + "\n"
-            )
-            for job, state in self.jobs.items():
-                fh.write(
-                    json.dumps(
-                        {
-                            "event": "submit",
-                            "job": job,
-                            "tenant": state.tenant,
-                            "spec": state.spec_doc,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-                if state.attempts:
-                    fh.write(
-                        json.dumps(
-                            {
-                                "event": "attempt",
-                                "job": job,
-                                "attempt": state.attempts,
-                                "error": (
-                                    state.failures[-1]
-                                    if state.failures
-                                    else None
-                                ),
-                            },
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
-                if state.outcome is not None:
-                    fh.write(
-                        json.dumps(
-                            {
-                                "event": "done",
-                                "job": job,
-                                "outcome": state.outcome,
-                                "error": state.error,
-                                "error_kind": state.error_kind,
-                            },
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        fsync_dir(self.path.parent)
-        self._fh = open(self.path, "a")
-        return self._fh
+    def _compacted(self):
+        """The replayed state as events: one submit per job, then its
+        latest attempt and its outcome when it has them."""
+        for job, state in self.jobs.items():
+            yield {"event": "submit", "job": job, "tenant": state.tenant,
+                   "spec": state.spec_doc}
+            if state.attempts:
+                yield {"event": "attempt", "job": job,
+                       "attempt": state.attempts,
+                       "error": state.failures[-1] if state.failures
+                       else None}
+            if state.outcome is not None:
+                yield {"event": "done", "job": job,
+                       "outcome": state.outcome, "error": state.error,
+                       "error_kind": state.error_kind}
 
     def _append(self, doc: dict) -> None:
-        fh = self._open()
-        fh.write(json.dumps(doc, sort_keys=True) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
+        self._log.append(doc)
 
     def record_submit(self, job: str, tenant: str, spec_doc: dict) -> None:
         """Durably record an admission (before it is acknowledged)."""
@@ -258,9 +184,7 @@ class ServiceJournal:
 
     # -- lifecycle --------------------------------------------------------
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._log.close()
 
 
 __all__ = ["SERVICE_JOURNAL_SCHEMA", "ReplayedJob", "ServiceJournal"]

@@ -17,8 +17,10 @@ Design points:
   wrong-schema-version entry is treated as a miss (and counted in
   :attr:`CacheStats.corrupt`); the kernel is re-simulated and the entry
   overwritten.  A cache can never make a run wrong, only slower.
-* **Atomic writes** — entries are written to a temp file and renamed,
-  so a crashed run leaves no half-written entries for the next one.
+* **Atomic writes** — entries go through
+  :func:`repro.fsutil.atomic_write_text` (temp file, data fsync,
+  rename, directory fsync), so a crashed run leaves no half-written
+  entries for the next one.
 * **Sharded layout** — ``<root>/<aa>/<fingerprint>.json`` keeps
   directories small for experiment-scale caches (thousands of entries).
 """
@@ -26,14 +28,13 @@ Design points:
 from __future__ import annotations
 
 import json
-import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import SimulationError
-from repro.fsutil import atomic_write_json, fsync_dir
+from repro.fsutil import atomic_write_json, atomic_write_text
 from repro.obs.runtime import active_obs
 
 if TYPE_CHECKING:  # avoid a circular import at runtime
@@ -152,12 +153,10 @@ class SimResultCache:
     def store(self, fingerprint: str, result: "KernelSimResult") -> None:
         """Persist ``result`` under its fingerprint (atomic overwrite).
 
-        The write protocol is crash-consistent: the entry is fully
-        written to a temp file first, then atomically renamed into
-        place.  A writer that dies at *any* point (the ``cache.write``
-        fault site simulates exactly that, between the temp write and
-        the rename) leaves either the old entry or no entry — never a
-        half-written shard a reader could see.
+        The write is a durable :func:`repro.fsutil.atomic_write_text`,
+        so a writer that dies at *any* point leaves either the old
+        entry or no entry — never a half-written shard a reader could
+        see.  The ``cache.write`` fault site fires just before it.
         """
         from repro.io.counters_json import counters_to_doc
         from repro.resilience.faults import active_injector
@@ -176,17 +175,12 @@ class SimResultCache:
         with obs.tracer.span("cache.store", cat="cache",
                              key=fingerprint[:12]):
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
+            text = json.dumps(doc, separators=(",", ":"))
             injector = active_injector()
-            tmp.write_text(json.dumps(doc, separators=(",", ":")))
-            # simulated writer crash: the temp file exists, the entry
-            # does not — the atomic-rename protocol makes this invisible.
+            # simulated writer crash just before the write: the entry
+            # on disk is whatever was there before.
             injector.fire_cache_write(fingerprint)
-            os.replace(tmp, path)
-            # durability, not just crash consistency: the rename is
-            # directory metadata — fsync the shard directory so the
-            # entry survives power loss too.
-            fsync_dir(path.parent)
+            atomic_write_text(path, text)
             self.stats.stores += 1
             obs.metrics.inc("cache.stores")
             # simulated torn write / bit rot discovered by a later

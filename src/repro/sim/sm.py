@@ -72,7 +72,7 @@ class SMSimulator:
             # own run(), i.e. the reference loop, accepts any program).
             from repro.sim import specialize
 
-            reason = specialize.check_supported(program, spec, config)
+            reason = specialize.check_supported(program, spec)
             if reason is not None:
                 raise SimulationError(
                     f"kernel {program.name!r} cannot run on the compiled "
@@ -318,7 +318,7 @@ def make_sm_simulator(spec: GPUSpec, program: KernelProgram,
     """
     from repro.sim import specialize
 
-    reason = specialize.check_supported(program, spec, config)
+    reason = specialize.check_supported(program, spec)
     if reason is None:
         return SMSimulator(spec, program, launch, config, **kwargs)
     obs = active_obs()

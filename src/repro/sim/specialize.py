@@ -50,13 +50,13 @@ skip codegen (they still re-exec the source, which is cheap).
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as _np
 
+from repro.fsutil import atomic_write_text
 from repro.isa.instruction import AccessKind
 from repro.isa.opcodes import OpClass, Opcode
 from repro.isa.program import KernelProgram
@@ -171,11 +171,9 @@ def _fetch_miss_p(program: KernelProgram, spec: "GPUSpec") -> float:
     return min(0.92, over / max(footprint, 1))
 
 
-def check_supported(
-    program: KernelProgram, spec: "GPUSpec", config: SimConfig
-) -> str | None:
+def check_supported(program: KernelProgram, spec: "GPUSpec") -> str | None:
     """``None`` when the specializer can compile the program for this
-    spec/config, else a human-readable decline reason (the program then
+    spec, else a human-readable decline reason (the program then
     runs on the reference loop, see
     :func:`repro.sim.sm.make_sm_simulator`)."""
     nbody = len(program.body)
@@ -650,21 +648,6 @@ def _compile_source(source: str, key: str):
     return ns.get("drive")
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    except OSError:
-        # persistence is best-effort; the in-process cache still holds
-        # the driver.
-        try:
-            tmp.unlink(missing_ok=True)
-        except OSError:
-            pass
-
-
 def driver_for(program: KernelProgram, spec: "GPUSpec",
                config: SimConfig) -> "_Driver | str":
     """Compiled driver for the combination, or a decline reason.
@@ -684,7 +667,7 @@ def driver_for(program: KernelProgram, spec: "GPUSpec",
     if metrics.enabled:
         metrics.inc("sim.specialize_misses")
 
-    reason = check_supported(program, spec, config)
+    reason = check_supported(program, spec)
     if reason is not None:
         _DRIVER_CACHE[key] = reason
         return reason
@@ -713,7 +696,14 @@ def driver_for(program: KernelProgram, spec: "GPUSpec",
                 f"specializer produced no drive() for {program.name!r}"
             )
         if _SOURCE_DIR is not None:
-            _atomic_write(_SOURCE_DIR / f"{key}.py", source)
+            try:
+                _SOURCE_DIR.mkdir(parents=True, exist_ok=True)
+                atomic_write_text(_SOURCE_DIR / f"{key}.py", source,
+                                  durable=False)
+            except OSError:
+                # persistence is best-effort; the in-process cache
+                # still holds the driver.
+                pass
     driver = _Driver(key, plan, fn, source)
     _DRIVER_CACHE[key] = driver
     return driver

@@ -54,46 +54,6 @@ class Warp:
     #: a deterministic re-roll cannot stall the same instruction twice.
     hiccup_token: int = -1
 
-    def scoreboard_block(self, srcs: tuple[int, ...], dst: int | None,
-                         cycle: int) -> tuple[int, int] | None:
-        """Return ``(kind, ready_cycle)`` of the last-arriving pending
-        operand blocking this instruction, or ``None`` if none block.
-
-        Checks RAW on sources and WAW on the destination; expired entries
-        are dropped as a side effect (keeps the dict small).
-        """
-        pending = self.pending_regs
-        if not pending:
-            return None
-        worst: int | None = None
-        worst_cycle = -1
-        get = pending.get
-        for reg in srcs:
-            entry = get(reg)
-            if entry is None:
-                continue
-            ready, kind = entry
-            if ready <= cycle:
-                del pending[reg]
-                continue
-            if ready > worst_cycle:
-                worst_cycle = ready
-                worst = kind
-        if dst is not None:
-            # WAW on the destination, checked after the sources (ties
-            # keep the first-seen kind, as the combined scan did).
-            entry = get(dst)
-            if entry is not None:
-                ready, kind = entry
-                if ready <= cycle:
-                    del pending[dst]
-                elif ready > worst_cycle:
-                    worst_cycle = ready
-                    worst = kind
-        if worst is None:
-            return None
-        return worst, worst_cycle
-
     def enter_region(self, pc: int, if_length: int, else_length: int,
                      taken_fraction: float) -> None:
         """Begin a structured divergence region right after a branch."""

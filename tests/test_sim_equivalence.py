@@ -71,7 +71,7 @@ def test_golden_counters_all_suites(gpu):
             merged = EventCounters()
             for inv in app.invocations:
                 assert check_supported(
-                    inv.program, spec, config
+                    inv.program, spec
                 ) is None, f"{app.name}: bundled app declined"
                 sim = SMSimulator(spec, inv.program, inv.launch, config)
                 merged.merge(sim.run())

@@ -5,38 +5,7 @@ import pytest
 from repro.isa.opcodes import OpClass
 from repro.sim.counters import EventCounters
 from repro.sim.stall_reasons import ALL_STATES, STALL_STATES, WarpState
-from repro.sim.warp import SB_FIXED, SB_LONG, SB_SHORT, Warp
-
-
-class TestWarpScoreboard:
-    def _warp(self):
-        return Warp(warp_id=1, block_id=0, smsp=0)
-
-    def test_no_pending_no_block(self):
-        w = self._warp()
-        assert w.scoreboard_block((1, 2), 3, cycle=10) is None
-
-    def test_raw_blocks_until_ready(self):
-        w = self._warp()
-        w.pending_regs[5] = (20, SB_LONG)
-        kind, ready = w.scoreboard_block((5,), None, cycle=10)
-        assert kind == SB_LONG and ready == 20
-        # expired entries are dropped and no longer block
-        assert w.scoreboard_block((5,), None, cycle=20) is None
-        assert 5 not in w.pending_regs
-
-    def test_waw_blocks(self):
-        w = self._warp()
-        w.pending_regs[7] = (15, SB_SHORT)
-        blocked = w.scoreboard_block((), 7, cycle=10)
-        assert blocked == (SB_SHORT, 15)
-
-    def test_latest_producer_wins(self):
-        w = self._warp()
-        w.pending_regs[1] = (12, SB_FIXED)
-        w.pending_regs[2] = (30, SB_LONG)
-        kind, ready = w.scoreboard_block((1, 2), None, cycle=10)
-        assert (kind, ready) == (SB_LONG, 30)
+from repro.sim.warp import Warp
 
 
 class TestWarpDivergence:

@@ -116,7 +116,7 @@ def test_directed_cases_match_reference(kernel, scheduler):
         for blocks, tpb in ((3, 128), (9, 256), (1, 32)):
             launch = LaunchConfig(blocks=blocks, threads_per_block=tpb)
             config = SimConfig(seed=seed, scheduler=scheduler)
-            assert check_supported(program, SPEC, config) is None
+            assert check_supported(program, SPEC) is None
             kw = dict(blocks_assigned=blocks)
             ref = _run(ReferenceSMSimulator, program, launch, config,
                        **kw)
@@ -142,7 +142,7 @@ def test_random_kernels_match_reference(program, blocks, tpb, scheduler,
     config = SimConfig(seed=seed, scheduler=scheduler)
     # every generated shape must be *accepted*: a silent fallback here
     # would make the equivalence claim vacuous.
-    assert check_supported(program, SPEC, config) is None
+    assert check_supported(program, SPEC) is None
     spz = _run(SMSimulator, program, launch, config,
                blocks_assigned=blocks)
     ref = _run(ReferenceSMSimulator, program, launch, config,
@@ -246,7 +246,7 @@ def test_decline_boundary_matches_reference(limit, past):
     program = BOUNDARIES[limit][past]()
     launch = LaunchConfig(blocks=BOUNDARIES[limit][2], threads_per_block=32)
     config = SimConfig(seed=1)
-    reason = check_supported(program, SPEC, config)
+    reason = check_supported(program, SPEC)
     assert (reason is not None) == past, reason
 
     # plain: one SM through the factory vs the reference loop.
@@ -274,7 +274,7 @@ def test_declined_program_falls_back_bit_identical():
     program = _body_kernel(MAX_BODY_LEN + 1)
     launch = LaunchConfig(blocks=1, threads_per_block=32)
     config = SimConfig(seed=0)
-    reason = check_supported(program, SPEC, config)
+    reason = check_supported(program, SPEC)
     assert reason is not None and "body length" in reason
     with obs_context(enabled=True) as obs:
         sim = make_sm_simulator(SPEC, program, launch, config)
